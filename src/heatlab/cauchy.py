@@ -8,7 +8,9 @@ in the same mass-conserving forward orientation as the series construction in
 `parametrix` (the two routes cross-validate each other).  The step horizon is
 chosen so the map contracts with factor <= 1/2; the contraction constant is
 calibrated from actual iterate ratios rather than from the pessimistic a
-priori exponent.
+priori exponent.  One application is one batched slab step: -div(b v) and the
+exponential-trapezoid integral are formed on the spectra of all nodes at once,
+and only the finished stack returns to physical space.
 """
 
 from __future__ import annotations
@@ -63,31 +65,31 @@ class ContractionPlan:
     segments: tuple
 
 
-def _neg_div_slices(spec: g.GridSpec, b: DriftField, times: np.ndarray,
-                    values: np.ndarray, offset: float = 0.0) -> np.ndarray:
+def _heat_stack(spec: g.GridSpec, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """P_s f at every node s: one forward and one batched inverse transform."""
+    H = np.exp(-times.reshape((-1,) + (1,) * spec.d) * g.freq_sq(spec) / 2.0)
+    return g.ifft(spec, H * g.fft(spec, values))
+
+
+def _slab(spec: g.GridSpec, phi: np.ndarray, b: DriftField, times: np.ndarray,
+          values: np.ndarray, offset: float) -> np.ndarray:
+    """The Duhamel map on one slab, every node at once, in spectral space.
+
+    The spectrum of w_s = -div(b_{offset+s} v_s) takes one forward transform
+    per component over the whole node stack (drift slices by nearest sample,
+    first on ties, as `DriftField.time_index`).  The exponential trapezoid
+    G_{j+1} = H(dt) (G_j + dt/2 w_j) + dt/2 w_{j+1} runs on spectra, and the
+    G stack and the heat base return to physical space in one transform each.
+    """
+    near = np.argmin(np.abs(b.times[None, :] - (offset + times)[:, None]), axis=1)
     comps = g.freq_components(spec)
-    out = np.empty_like(values)
-    for j, s in enumerate(times):
-        bsl = b.at_time(offset + s)
-        acc = None
-        for c in range(spec.d):
-            piece = (1j * comps[c]) * g.fft(spec, bsl[c] * values[j])
-            acc = piece if acc is None else acc + piece
-        out[j] = -g.ifft(spec, acc)
-    return out
-
-
-def _duhamel(spec: g.GridSpec, times: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """integral_0^{s_j} P_{s_j-r} w_r dr on the node grid (exponential trapezoid)."""
-    out = np.empty_like(w)
-    out[0] = 0.0
-    Gh = np.zeros(w.shape[1:], dtype=complex)
-    for j in range(len(times) - 1):
-        dt = times[j + 1] - times[j]
-        H = g.heat_multiplier(spec, dt)
-        Gh = H * (Gh + (dt / 2.0) * g.fft(spec, w[j])) + (dt / 2.0) * g.fft(spec, w[j + 1])
-        out[j + 1] = g.ifft(spec, Gh)
-    return out
+    w_hat = -sum((1j * comps[c]) * g.fft(spec, b.values[near, c] * values)
+                 for c in range(spec.d))
+    G_hat = np.zeros_like(w_hat)
+    for j, dt in enumerate(np.diff(times)):
+        G_hat[j + 1] = g.heat_multiplier(spec, dt) * (G_hat[j] + (dt / 2.0) * w_hat[j]) \
+            + (dt / 2.0) * w_hat[j + 1]
+    return _heat_stack(spec, phi, times) + g.ifft(spec, G_hat)
 
 
 def theta_apply(phi: g.GridField, b: DriftField, v: TimeField, t: float,
@@ -97,15 +99,10 @@ def theta_apply(phi: g.GridField, b: DriftField, v: TimeField, t: float,
     `offset` shifts the drift clock (segment restarts evaluate the drift at
     absolute time offset + s).
     """
-    spec = phi.spec
-    times = v.times
-    if times[-1] > t + 1e-12:
-        raise ValueError(f"v extends past the horizon: {times[-1]} > {t}")
-    phihat = g.fft(spec, phi.values)
-    base = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
-    w = _neg_div_slices(spec, b, times, v.values, offset)
-    out = base + _duhamel(spec, times, w)
-    return TimeField(spec, times, out, delta=v.delta)
+    if v.times[-1] > t + 1e-12:
+        raise ValueError(f"v extends past the horizon: {v.times[-1]} > {t}")
+    out = _slab(phi.spec, phi.values, b, v.times, v.values, offset)
+    return TimeField(phi.spec, v.times, out, delta=v.delta)
 
 
 def step_horizon(X: float, Y: float, alpha: float, beta: float,
@@ -163,6 +160,11 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
     slab is halved until the measured factor is <= 1/2.  Segments restart with
     the previous terminal slice as new data.  Raises NoConvergence if a
     segment hits max_iter with residual above tol.
+
+    X+Y only selects the zero-drift branch and fills report["X"]/["Y"]: the
+    calibrated c_fit * (X+Y) = rho / trial^expo, so slab length and `factor`
+    do not depend on it.  report["calibration"] holds the trial slab and its
+    measured ratio rho (None for zero drift).
     """
     spec = phi.spec
     alpha = b.alpha
@@ -170,34 +172,26 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
     expo = 1.0 - (alpha + beta) / 2.0
     strength = X + Y
 
-    def solve_segment(data_hat_field: g.GridField, seg_len: float, offset: float):
+    def solve_segment(data: g.GridField, seg_len: float, offset: float):
         times = time_nodes(seg_len, m)
-        phihat = g.fft(spec, data_hat_field.values)
-        base = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
-        v = TimeField(spec, times, base.copy())
-        prev_res = None
-        ratios = []
+        v = TimeField(spec, times, _heat_stack(spec, data.values, times))
         for it in range(1, max_iter + 1):
-            nxt = theta_apply(data_hat_field, b, v, seg_len, offset=offset)
+            nxt = theta_apply(data, b, v, seg_len, offset=offset)
             res = _sup_diff(nxt.values, v.values)
-            if prev_res is not None and prev_res > 0:
-                ratios.append(res / prev_res)
             v = nxt
             if res <= tol:
-                return v, it, res, ratios
-            prev_res = res
+                return v, it, res
         raise NoConvergence(
             f"segment at offset {offset:g} hit max_iter={max_iter} with residual {res:.3e}"
         )
 
     # calibrate the contraction constant on a trial slab
+    calibration = None
     if strength > 0:
         trial = min(T, 0.5)
         while True:
             times = time_nodes(trial, m)
-            phihat = g.fft(spec, phi.values)
-            base = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
-            v0 = TimeField(spec, times, base)
+            v0 = TimeField(spec, times, _heat_stack(spec, phi.values, times))
             v1 = theta_apply(phi, b, v0, trial)
             v2 = theta_apply(phi, b, v1, trial)
             d1 = _sup_diff(v1.values, v0.values)
@@ -206,6 +200,7 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
             if rho < 0.5 or trial < 1e-3:
                 break
             trial /= 2.0
+        calibration = {"trial": trial, "rho": rho}
         c_fit = max(rho, 1e-12) / (trial**expo * strength)
         plan = step_horizon(X, Y, alpha, beta, c_fit=c_fit, T=T)
     else:
@@ -218,7 +213,7 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
     residuals = []
     for (a, bnd) in plan.segments:
         seg_len = bnd - a
-        v, it, res, _ = solve_segment(data, seg_len, offset=a)
+        v, it, res = solve_segment(data, seg_len, offset=a)
         iters.append(it)
         residuals.append(res)
         all_times.append(a + v.times[1:])
@@ -232,6 +227,7 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
         "final_residual": residuals[-1] if residuals else 0.0,
         "X": X,
         "Y": Y,
+        "calibration": calibration,
     }
     return full
 
@@ -251,5 +247,4 @@ def gamma_via_cauchy(b: DriftField, t: float, y, eps: float | None = None,
         raise ValueError(f"eps={eps} below grid resolution floor h^2={spec.h ** 2}")
     phi = g.GridField(spec, g.gaussian_shifted(spec, eps, y).values)
     v = picard_solve(phi, b, T=t, tol=tol, max_iter=max_iter, beta=beta, m=m)
-    out = v.terminal()
-    return out
+    return v.terminal()

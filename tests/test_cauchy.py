@@ -60,6 +60,57 @@ def test_theta_one_step_mollified_extrapolates_to_series(spec8pi):
     assert np.abs(out - partial1).max() < 1e-3 * np.abs(partial1).max()
 
 
+def _theta_per_node(phi, b, v, offset):
+    # the Duhamel map one node at a time: drift slice by DriftField.at_time,
+    # -div(b v) back in physical space, then the exponential trapezoid with
+    # a forward transform of w at both ends of every step
+    spec, times = phi.spec, v.times
+    comps = g.freq_components(spec)
+    phihat = g.fft(spec, phi.values)
+    out = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
+    w = np.empty_like(v.values)
+    for j, s in enumerate(times):
+        bsl = b.at_time(offset + s)
+        w[j] = -g.ifft(spec, sum((1j * comps[c]) * g.fft(spec, bsl[c] * v.values[j])
+                                 for c in range(spec.d)))
+    Gh = np.zeros(spec.shape, dtype=complex)
+    for j in range(len(times) - 1):
+        dt = times[j + 1] - times[j]
+        Gh = g.heat_multiplier(spec, dt) * (Gh + (dt / 2.0) * g.fft(spec, w[j])) \
+            + (dt / 2.0) * g.fft(spec, w[j + 1])
+        out[j + 1] += g.ifft(spec, Gh)
+    return out
+
+
+def _refreshing(d, n):
+    b = drifts.make_preset("refreshing-mode", g.make_grid(d, n, 8 * np.pi), horizon=1.0)
+    if d == 2:  # component 2 varies along the second axis: both batched axes matter
+        b.values[:, 1] = np.swapaxes(b.values[:, 1], -1, -2).copy()
+    return b
+
+
+def _coarse_traveling():
+    # five drift samples: offset + node times hit exact midpoints (ties)
+    b = drifts.make_preset("traveling-mode", g.make_grid(1, 256, 8 * np.pi), horizon=1.0)
+    return dy.DriftField(b.spec, b.times[::256], b.values[::256], b.alpha)
+
+
+@pytest.mark.parametrize("make_drift, offset, times", [
+    (lambda: _refreshing(1, 256), 0.3, px.time_nodes(0.5, 96)),
+    (lambda: _refreshing(2, 32), 0.3, px.time_nodes(0.5, 32)),
+    (_coarse_traveling, 0.125, np.linspace(0.0, 0.5, 9)),
+], ids=["refreshing-1d", "refreshing-2d", "coarse-ties-1d"])
+def test_theta_slab_matches_per_node_loop(make_drift, offset, times):
+    b = make_drift()
+    spec = b.spec
+    phi = g.GridField(spec, g.gaussian_shifted(spec, 0.05, np.full(spec.d, 0.7)).values)
+    rng = np.random.default_rng(3)
+    v = cy.TimeField(spec, times, rng.standard_normal((len(times),) + spec.shape))
+    out = cy.theta_apply(phi, b, v, times[-1], offset=offset).values
+    ref = _theta_per_node(phi, b, v, offset)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_step_horizon_plan():
     plan = cy.step_horizon(0.0, 0.0, 0.25, 1.5, T=2.0)
     assert plan.t0 == 2.0 and plan.factor == 0.0 and len(plan.segments) == 1
@@ -134,6 +185,8 @@ def test_picard_report_contraction_factor(spec8pi_small):
     assert v.report["factor"] <= 0.5 + 1e-9
     assert v.report["final_residual"] <= 1e-9
     assert v.times[-1] == 1.0
+    cal = v.report["calibration"]
+    assert cal["rho"] < 0.5 or cal["trial"] < 1e-3
 
 
 def test_weighted_norm(spec8pi_small):

@@ -137,6 +137,38 @@ def test_drift_norms_presets(spec8pi):
     assert abs(X - 1.5) < 1e-12 and Y < 1e-12
 
 
+def _drift_norms_per_sample(b):
+    # one sample and one component at a time, through the public block helpers
+    part = dy.build_partition(b.spec)
+    idx = dy.BesovIndex(s=-b.alpha, p=np.inf, q=1)
+    X = Y = 0.0
+    for j in range(len(b.times)):
+        x_j = y_j = 0.0
+        for c in range(b.spec.d):
+            comp = b.values[j, c]
+            low = dy.block_values(b.spec, comp, -1, part)
+            x_j += float(np.abs(low).max())
+            y_j += dy.besov_norm_values(b.spec, comp - low, idx, part)
+        X, Y = max(X, x_j), max(Y, y_j)
+    return X, Y
+
+
+@pytest.mark.parametrize("preset", ["zero", "constant", "single-mode", "multi-mode",
+                                    "time-varying", "refreshing-mode", "traveling-mode"])
+def test_drift_norms_blocks_match_per_sample_loop(spec8pi, preset):
+    # 1025 time samples is not a multiple of the sample block: the last,
+    # partial block is covered
+    b = drifts.make_preset(preset, spec8pi, amplitude=0.8, horizon=1.0)
+    assert dy.drift_norms(b) == _drift_norms_per_sample(b)
+
+
+def test_drift_norms_blocks_match_per_sample_loop_2d():
+    spec = g.make_grid(2, 32, 8 * np.pi)
+    b = drifts.make_preset("time-varying", spec, amplitude=1.0, horizon=1.0)
+    assert len(b.times) % dy._SAMPLE_BLOCK != 0
+    assert dy.drift_norms(b) == _drift_norms_per_sample(b)
+
+
 def test_drift_norms_single_mode_oracle(spec8pi):
     # oracle: a pure block-2 wave has X = 0 and Y = A * 2^{-2 alpha} exactly
     # (grid sup of the cosine is 1 since x=0 is a grid point)
