@@ -74,8 +74,12 @@ def _spectral_upsample(spec: g.GridSpec, vals: np.ndarray, up: int) -> np.ndarra
 class _DriftInterp:
     """Periodic trigonometric interpolation of drift slices.
 
-    Fields are spectrally refined by `up` and then read with linear weights;
-    refined slices are cached per stored time index.
+    Fields are spectrally refined by `up` and then read with linear weights.
+    The refined slice is padded by 2 wrap entries per axis, so the gather
+    needs no integer modulo (a position that rounds to exactly L reads
+    entries nf and nf+1).  Only the slice of the current time index is kept:
+    simulate marches forward and never reads an earlier one again.  `eval`
+    works in place: fewer live temporaries stop malloc re-faulting the heap.
     """
 
     def __init__(self, b: DriftField, up: int = 16):
@@ -84,38 +88,44 @@ class _DriftInterp:
         self.up = up
         self.nf = b.spec.n * up
         self.hf = b.spec.L / self.nf
-        self._cache: dict = {}
+        self._cache: tuple = (None, None)
 
     def _fine(self, t_idx: int) -> np.ndarray:
-        if t_idx not in self._cache:
-            self._cache[t_idx] = np.stack([
-                _spectral_upsample(self.spec, self.b.values[t_idx, c], self.up)
-                for c in range(self.spec.d)
-            ])
-        return self._cache[t_idx]
+        if self._cache[0] != t_idx:
+            fine = np.stack([_spectral_upsample(self.spec, v, self.up)
+                             for v in self.b.values[t_idx]])
+            self._cache = (t_idx, np.pad(fine, [(0, 0)] + [(0, 2)] * self.spec.d,
+                                         mode="wrap"))
+        return self._cache[1]
 
     def eval(self, t: float, X: np.ndarray) -> np.ndarray:
         """Drift at unwrapped positions X of shape (N, d)."""
         fine = self._fine(self.b.time_index(t))
-        pos = (X - (-self.spec.L / 2)) % self.spec.L
-        idx = pos / self.hf
-        i0 = np.floor(idx).astype(np.int64) % self.nf
-        frac = idx - np.floor(idx)
-        out = np.empty_like(X)
+        L = self.spec.L
+        # fmod plus the sign fix-up is numpy's float % bit for bit
+        pos = X + L / 2
+        np.fmod(pos, L, out=pos)
+        np.add(pos, L, out=pos, where=pos < 0)
+        pos /= self.hf
+        fl = np.floor(pos)
+        i0 = fl.astype(np.intp)
+        frac = np.subtract(pos, fl, out=pos)
         if self.spec.d == 1:
-            f = fine[0]
-            a, w = i0[:, 0], frac[:, 0]
-            out[:, 0] = f[a] * (1 - w) + f[(a + 1) % self.nf] * w
-        else:
-            a1, a2 = i0[:, 0], i0[:, 1]
-            b1, b2 = (a1 + 1) % self.nf, (a2 + 1) % self.nf
-            w1, w2 = frac[:, 0], frac[:, 1]
-            for c in range(2):
-                f = fine[c]
-                out[:, c] = (f[a1, a2] * (1 - w1) * (1 - w2)
-                             + f[b1, a2] * w1 * (1 - w2)
-                             + f[a1, b2] * (1 - w1) * w2
-                             + f[b1, b2] * w1 * w2)
+            f, a, w = fine[0], i0[:, 0], frac[:, 0]
+            lo = f.take(a)
+            lo *= 1 - w
+            lo += f.take(a + 1) * w
+            return lo[:, None]
+        out = np.empty_like(X)
+        a1, a2 = i0[:, 0], i0[:, 1]
+        b1, b2 = a1 + 1, a2 + 1
+        w1, w2 = frac[:, 0], frac[:, 1]
+        for c in range(2):
+            f = fine[c]
+            out[:, c] = (f[a1, a2] * (1 - w1) * (1 - w2)
+                         + f[b1, a2] * w1 * (1 - w2)
+                         + f[a1, b2] * (1 - w1) * w2
+                         + f[b1, b2] * w1 * w2)
         return out
 
 

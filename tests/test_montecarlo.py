@@ -29,6 +29,88 @@ def test_simulate_chunk_invariance(spec8pi_small):
     assert np.array_equal(e1.positions(0.1), e3.positions(0.1))
 
 
+@pytest.mark.parametrize("case", ["2d", "time-dependent"])
+def test_simulate_chunk_invariance_wide(case):
+    if case == "2d":
+        b = drifts.make_preset("time-varying", g.make_grid(2, 32, 8 * np.pi))
+        x0 = [0.3, -0.2]
+    else:
+        b = drifts.make_preset("traveling-mode", g.make_grid(1, 128, 8 * np.pi),
+                               amplitude=2.0)
+        x0 = 0.1
+    kw = dict(x0=x0, T=0.1, h_t=0.005, N=700, seed=9,
+              snapshot_times=[0.05, 0.1], keep_paths=5)
+    ref = mc.simulate(b, **kw)
+    for chunk in (64, 300):
+        e = mc.simulate(b, chunk=chunk, **kw)
+        for t in (0.05, 0.1):
+            assert e.positions(t).tobytes() == ref.positions(t).tobytes()
+        assert e.sup_dev.tobytes() == ref.sup_dev.tobytes()
+        assert e.kept_paths.tobytes() == ref.kept_paths.tobytes()
+
+
+def _modulo_interp(interp, t, X):
+    """Reference drift read: float modulo, floor twice, wrapped gather."""
+    fine = np.stack([mc._spectral_upsample(interp.spec, interp.b.values[
+        interp.b.time_index(t), c], interp.up) for c in range(interp.spec.d)])
+    nf = interp.nf
+    pos = (X - (-interp.spec.L / 2)) % interp.spec.L
+    idx = pos / interp.hf
+    i0 = np.floor(idx).astype(np.int64) % nf
+    frac = idx - np.floor(idx)
+    out = np.empty_like(X)
+    if interp.spec.d == 1:
+        f, a, w = fine[0], i0[:, 0], frac[:, 0]
+        out[:, 0] = f[a] * (1 - w) + f[(a + 1) % nf] * w
+    else:
+        a1, a2 = i0[:, 0], i0[:, 1]
+        b1, b2 = (a1 + 1) % nf, (a2 + 1) % nf
+        w1, w2 = frac[:, 0], frac[:, 1]
+        for c in range(2):
+            f = fine[c]
+            out[:, c] = (f[a1, a2] * (1 - w1) * (1 - w2) + f[b1, a2] * w1 * (1 - w2)
+                         + f[a1, b2] * (1 - w1) * w2 + f[b1, b2] * w1 * w2)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_drift_interp_matches_modulo_formula(d):
+    if d == 1:
+        spec = g.make_grid(1, 512, 8 * np.pi)
+        b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
+    else:
+        spec = g.make_grid(2, 32, 8 * np.pi)
+        b = drifts.make_preset("time-varying", spec)
+    L = spec.L
+    edges = np.array([-L / 2, L / 2, np.nextafter(-L / 2, -np.inf), 0.0, -0.0,
+                      L, -L, 3 * L, -4 * L, np.nextafter(L / 2, np.inf)])
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-5 * L, 5 * L, size=(20000, d))
+    X[:len(edges), 0] = edges
+    X[len(edges):2 * len(edges), -1] = edges
+    if d == 2:
+        X[:len(edges), 1] = edges[::-1]
+    interp = mc._DriftInterp(b)
+    for t in (0.0, 0.37, 1.0):
+        assert interp.eval(t, X).tobytes() == _modulo_interp(interp, t, X).tobytes()
+
+
+def test_drift_interp_keeps_one_slice():
+    spec = g.make_grid(1, 128, 8 * np.pi)
+    b = drifts.make_preset("time-varying", spec)
+    X = np.random.default_rng(4).uniform(-2 * spec.L, 2 * spec.L, size=(500, 1))
+    times = (0.0, 0.25, 0.5, 0.25, 1.0)
+    assert len({b.time_index(t) for t in times}) == 4
+    interp = mc._DriftInterp(b)
+    for t in times:
+        out = interp.eval(t, X)
+        t_idx, table = interp._cache
+        assert t_idx == b.time_index(t)
+        assert table.shape == (1, interp.nf + 2)
+        assert out.tobytes() == mc._DriftInterp(b).eval(t, X).tobytes()
+        assert out.tobytes() == _modulo_interp(interp, t, X).tobytes()
+
+
 def test_simulate_guards(spec8pi_small):
     b = drifts.constant_drift(spec8pi_small, 60.0)
     with pytest.raises(StepTooLarge):
