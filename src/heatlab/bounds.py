@@ -22,7 +22,8 @@ from scipy.special import gammaln, logsumexp
 from . import grid as g
 from .dyadic import DriftField, drift_norms
 from .errors import EnvelopeViolated
-from .parametrix import transition_matrix
+from .parametrix import (_first_family, _neg_div_hat, _richardson_gap, _trapezoid,
+                         transition_matrix)
 
 __all__ = [
     "beta_fn",
@@ -210,13 +211,12 @@ def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
     pc = g.gaussian(spec, c * t)
     best = 0.0
     for y in np.atleast_1d(y_points):
-        fam = _family_for(b, t, float(y), k, m, K_cache)
-        s = fam.s_nodes
+        s, psi_hat = _family_for(b, t, float(y), k, m, K_cache)
         pc_y = np.roll(pc.values, int(round((y - 0.0) / spec.h)))
         mask = pc_y > I_RATIO_FLOOR * pc_y.max()
         integrand = np.empty(len(s))
         for j, sj in enumerate(s):
-            u_hat = g.heat_multiplier(spec, t - sj) * g.fft(spec, fam.fields[j])
+            u_hat = g.heat_multiplier(spec, t - sj) * psi_hat[j]
             A_i = _sup_ratio_norms(spec, u_hat, pc_y, mask, i)
             A_ip1 = _sup_ratio_norms(spec, u_hat, pc_y, mask, i + 1)
             integrand[j] = A_i ** (1.0 - beta_sel) * A_ip1**beta_sel
@@ -225,20 +225,20 @@ def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
 
 
 def _family_for(b, t, y, k, m, cache):
-    from .parametrix import _psi_first, psi_next
-
+    """(node times, Psi^{y,k} spectra) from the engine, reusing cached k-1."""
     key = (t, y, k, m)
     if cache is not None and key in cache:
         return cache[key]
-    if cache is not None and (t, y, k - 1, m) in cache:
-        fam = psi_next(b, t, cache[(t, y, k - 1, m)])
+    if k == 1:
+        s, _, _, psi_hat = _first_family(b, t, y, m)
     else:
-        fam = _psi_first(b, t, y, m=m)
-        for _ in range(k - 1):
-            fam = psi_next(b, t, fam)
+        s, psi_hat = _family_for(b, t, y, k - 1, m, cache)
+        G = g.ifft(b.spec, _trapezoid(b.spec, psi_hat, s))
+        _richardson_gap(b.spec, psi_hat, s, G[-1])
+        psi_hat = _neg_div_hat(b.spec, b.at_time(s), G)
     if cache is not None:
-        cache[key] = fam
-    return fam
+        cache[key] = (s, psi_hat)
+    return s, psi_hat
 
 
 def i_rhs(k: int, i: int, beta_sel: float, t: float, X: float, Y: float,

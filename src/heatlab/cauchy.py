@@ -8,9 +8,10 @@ in the same mass-conserving forward orientation as the series construction in
 `parametrix` (the two routes cross-validate each other).  The step horizon is
 chosen so the map contracts with factor <= 1/2; the contraction constant is
 calibrated from actual iterate ratios rather than from the pessimistic a
-priori exponent.  One application is one batched slab step: -div(b v) and the
-exponential-trapezoid integral are formed on the spectra of all nodes at once,
-and only the finished stack returns to physical space.
+priori exponent.  One application is one batched slab step on the spectral
+Duhamel engine shared with `parametrix` (drift lookup, -div(b v) spectrum,
+exponential trapezoid, heat stack): every node is formed at once in spectral
+space, and only the finished stack returns to physical space.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import grid as g
 from .dyadic import BesovIndex, DriftField, besov_norm_values, drift_norms
 from .errors import HorizonTooSmall, NoConvergence
-from .parametrix import time_nodes
+from .parametrix import _heat_stack, _neg_div_hat, _trapezoid, time_nodes
 
 __all__ = [
     "TimeField",
@@ -65,31 +66,17 @@ class ContractionPlan:
     segments: tuple
 
 
-def _heat_stack(spec: g.GridSpec, values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """P_s f at every node s: one forward and one batched inverse transform."""
-    H = np.exp(-times.reshape((-1,) + (1,) * spec.d) * g.freq_sq(spec) / 2.0)
-    return g.ifft(spec, H * g.fft(spec, values))
-
-
 def _slab(spec: g.GridSpec, phi: np.ndarray, b: DriftField, times: np.ndarray,
           values: np.ndarray, offset: float) -> np.ndarray:
-    """The Duhamel map on one slab, every node at once, in spectral space.
+    """The Duhamel map on one slab, every node at once, through the engine.
 
-    The spectrum of w_s = -div(b_{offset+s} v_s) takes one forward transform
-    per component over the whole node stack (drift slices by nearest sample,
-    first on ties, as `DriftField.time_index`).  The exponential trapezoid
-    G_{j+1} = H(dt) (G_j + dt/2 w_j) + dt/2 w_{j+1} runs on spectra, and the
-    G stack and the heat base return to physical space in one transform each.
+    The spectrum of w_s = -div(b_{offset+s} v_s) over the node stack, its
+    exponential trapezoid G, and the heat base; the G stack and the heat base
+    return to physical space in one transform each.
     """
-    near = np.argmin(np.abs(b.times[None, :] - (offset + times)[:, None]), axis=1)
-    comps = g.freq_components(spec)
-    w_hat = -sum((1j * comps[c]) * g.fft(spec, b.values[near, c] * values)
-                 for c in range(spec.d))
-    G_hat = np.zeros_like(w_hat)
-    for j, dt in enumerate(np.diff(times)):
-        G_hat[j + 1] = g.heat_multiplier(spec, dt) * (G_hat[j] + (dt / 2.0) * w_hat[j]) \
-            + (dt / 2.0) * w_hat[j + 1]
-    return _heat_stack(spec, phi, times) + g.ifft(spec, G_hat)
+    w_hat = _neg_div_hat(spec, b.at_time(offset + times), values)
+    G = g.ifft(spec, _trapezoid(spec, w_hat, times))
+    return _heat_stack(spec, g.fft(spec, phi), times) + G
 
 
 def theta_apply(phi: g.GridField, b: DriftField, v: TimeField, t: float,
@@ -174,7 +161,7 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
 
     def solve_segment(data: g.GridField, seg_len: float, offset: float):
         times = time_nodes(seg_len, m)
-        v = TimeField(spec, times, _heat_stack(spec, data.values, times))
+        v = TimeField(spec, times, _heat_stack(spec, g.fft(spec, data.values), times))
         for it in range(1, max_iter + 1):
             nxt = theta_apply(data, b, v, seg_len, offset=offset)
             res = _sup_diff(nxt.values, v.values)
@@ -191,7 +178,7 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
         trial = min(T, 0.5)
         while True:
             times = time_nodes(trial, m)
-            v0 = TimeField(spec, times, _heat_stack(spec, phi.values, times))
+            v0 = TimeField(spec, times, _heat_stack(spec, g.fft(spec, phi.values), times))
             v1 = theta_apply(phi, b, v0, trial)
             v2 = theta_apply(phi, b, v1, trial)
             d1 = _sup_diff(v1.values, v0.values)

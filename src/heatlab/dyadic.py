@@ -184,11 +184,15 @@ class DriftField:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def time_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
+    def time_index(self, t):
+        """Nearest stored sample to t, first on ties; an index array when t is
+        an array of times."""
+        idx = np.argmin(np.abs(self.times - np.expand_dims(t, -1)), axis=-1)
+        return int(idx) if np.ndim(t) == 0 else idx
 
-    def at_time(self, t: float) -> np.ndarray:
-        """Component array (d, *shape) at the nearest stored sample."""
+    def at_time(self, t) -> np.ndarray:
+        """Component array (d, *shape) at the nearest stored sample; a stack
+        (len(t), d, *shape) when t is an array of times."""
         return self.values[self.time_index(t)]
 
     def shift(self, s: float) -> "DriftField":

@@ -17,15 +17,23 @@ endpoints, which absorbs the square-root endpoint singularities of the first
 family.  For constant drift each panel integrand is constant in r, so the
 scheme reproduces the shifted Gaussian up to series truncation alone.
 
+The series terms are the differences of Picard iterates of the Duhamel map
+started from the point source, so one spectral Duhamel engine serves this
+module, the I-tables in `bounds` and the fixed point in `cauchy`: the drift
+slices of a whole node stack (`DriftField.at_time`, nearest sample), the
+spectrum `_neg_div_hat` of -div(b_s v_s) on that stack, the
+exponential-trapezoid recurrence `_trapezoid` on spectra and the heat stack
+`_heat_stack`.  The families Psi^{y,k} stay spectral: each term takes one
+batched inverse transform of the G_k stack and one forward transform per
+drift component.
+
 Sources may be batched: `y` with shape (B, d) yields fields with a leading
 batch axis throughout.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,16 +42,11 @@ from .dyadic import DriftField
 from .errors import NoDecay, QuadratureDivergence
 
 __all__ = [
-    "PsiFamily",
     "ParametrixResult",
     "time_nodes",
-    "psi_first",
-    "psi_next",
     "gamma_series",
-    "gamma_grad",
     "transition_matrix",
     "chapman_kolmogorov_residual",
-    "export_result",
 ]
 
 
@@ -55,26 +58,75 @@ def time_nodes(t: float, m: int) -> np.ndarray:
     return t * np.sin(np.pi * j / (2 * m)) ** 2
 
 
-@dataclass
-class PsiFamily:
-    """Correction family Psi^{y,k} sampled on the time nodes.
+# -- the spectral Duhamel engine ----------------------------------------------
 
-    fields has shape (m+1, *lead, *grid shape) in physical space, where lead
-    is () for a single source and (B,) for a batch.
+
+def _neg_div_hat(spec: g.GridSpec, bs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Spectrum of -div(b_s v_s) over a node stack, one transform per component.
+
+    v is (m+1, *shape), or (m+1, B, *shape) with a batch axis after the nodes.
+    The derivative zeroes the Nyquist mode (`grid.deriv_multiplier`), so the
+    spectrum stays that of a real field.
     """
+    bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
+    return -sum(g.deriv_multiplier(spec, mu) * g.fft(spec, bs[:, c] * v)
+                for c, mu in enumerate(np.eye(spec.d, dtype=int)))
 
-    spec: g.GridSpec
-    t: float
-    y: np.ndarray
-    k: int
-    s_nodes: np.ndarray
-    fields: np.ndarray
 
-    def l1_norms(self) -> np.ndarray:
-        """||Psi_s||_{L^1} per node (max over batch)."""
-        axes = tuple(range(-self.spec.d, 0))
-        norms = self.spec.cell * np.abs(self.fields).sum(axis=axes)
-        return norms.reshape(len(self.s_nodes), -1).max(axis=1)
+def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Spectra of G_j = int_0^{s_j} P_{s_j-r} w_r dr on every node.
+
+    Exponential trapezoid G_{j+1} = H(dt) (G_j + dt/2 w_j) + dt/2 w_{j+1}.
+    """
+    G_hat = np.zeros_like(w_hat)
+    for j, dt in enumerate(np.diff(times)):
+        G_hat[j + 1] = g.heat_multiplier(spec, dt) * (G_hat[j] + (dt / 2.0) * w_hat[j]) \
+            + (dt / 2.0) * w_hat[j + 1]
+    return G_hat
+
+
+def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """P_s f at every node s from the spectrum of f: one batched inverse transform."""
+    H = np.exp(-times.reshape((-1,) + (1,) * f_hat.ndim) * g.freq_sq(spec) / 2.0)
+    return g.ifft(spec, H * f_hat)
+
+
+def _richardson_gap(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
+                    fine: np.ndarray) -> float:
+    """Relative gap at the last node between `fine` (the trapezoid on all
+    nodes, physical) and the trapezoid on the even-index subgrid."""
+    coarse = g.ifft(spec, _trapezoid(spec, w_hat[::2], times[::2])[-1])
+    scale = np.abs(fine).max()
+    gap = float(np.abs(coarse - fine).max() / scale) if scale > 0 else 0.0
+    if gap > 0.5:
+        raise QuadratureDivergence(
+            f"coarse/fine Duhamel mismatch {gap:.2e}; time grid too coarse"
+        )
+    return gap
+
+
+def _first_family(b: DriftField, t: float, y, m: int):
+    """Node grid, source spectra and Psi^{y,1} spectra for horizon t.
+
+    Returns (s_nodes, drift slices, delta spectra, Psi^1 spectra); the spectra
+    carry a batch axis when y has shape (B, d).
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if len(b.times) > 1 and t > b.horizon + 1e-9:
+        raise ValueError(f"t={t} beyond drift horizon {b.horizon}")
+    spec = b.spec
+    g._check_wraparound(spec, t)
+    y = np.asarray(y, dtype=float)
+    dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
+    if y.ndim != 2:
+        dhat = dhat[0]
+    s = time_nodes(t, m)
+    bs = b.at_time(s)
+    return s, bs, dhat, _neg_div_hat(spec, bs, _heat_stack(spec, dhat, s))
+
+
+# -- the series ----------------------------------------------------------------
 
 
 @dataclass
@@ -94,94 +146,6 @@ class ParametrixResult:
     gamma_hat: np.ndarray = field(repr=False, default=None)
 
 
-def _drift_slices(b: DriftField, s_nodes: np.ndarray) -> np.ndarray:
-    idx = [b.time_index(s) for s in s_nodes]
-    return b.values[idx]  # (m+1, d, *shape)
-
-
-def _neg_div(spec: g.GridSpec, bslice: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """-div(b * G) for one time node; G may carry leading batch axes."""
-    comps = g.freq_components(spec)
-    out = None
-    for c in range(spec.d):
-        prod_hat = g.fft(spec, bslice[c] * G)
-        piece = (1j * comps[c]) * prod_hat
-        out = piece if out is None else out + piece
-    return -g.ifft(spec, out)
-
-
-def psi_first(b: DriftField, t: float, y) -> PsiFamily:
-    """First correction family -div(b_s * p(s, . - y)) on the node grid."""
-    return _psi_first(b, t, y, m=128)
-
-
-def _psi_first(b: DriftField, t: float, y, m: int) -> PsiFamily:
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if len(b.times) > 1 and t > b.horizon + 1e-9:
-        raise ValueError(f"t={t} beyond drift horizon {b.horizon}")
-    g._check_wraparound(b.spec, t)
-    spec = b.spec
-    y = np.asarray(y, dtype=float)
-    batch = y.ndim == 2
-    s_nodes = time_nodes(t, m)
-    dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
-    if not batch:
-        dhat = dhat[0]
-    bsl = _drift_slices(b, s_nodes)
-    fields = np.empty((len(s_nodes),) + dhat.shape, dtype=float)
-    for j, s in enumerate(s_nodes):
-        p_s = g.ifft(spec, dhat * g.heat_multiplier(spec, s))
-        fields[j] = _neg_div(spec, bsl[j], p_s)
-    return PsiFamily(spec=spec, t=t, y=y, k=1, s_nodes=s_nodes, fields=fields)
-
-
-def _propagate(fam: PsiFamily, check: bool = True):
-    """Duhamel integral G(s_j) = int_0^{s_j} P_{s_j - r} Psi_r dr on all nodes.
-
-    Returns (G_nodes physical, G_hat at the last node, relative Richardson gap
-    between the full grid and its even-index subgrid at the last node).
-    """
-    spec = fam.spec
-    s = fam.s_nodes
-    m = len(s) - 1
-    psi_hat = g.fft(spec, fam.fields)
-    Gh = np.zeros(psi_hat.shape[1:], dtype=complex)
-    G_nodes = np.empty_like(fam.fields)
-    G_nodes[0] = 0.0
-    for j in range(m):
-        dt = s[j + 1] - s[j]
-        H = g.heat_multiplier(spec, dt)
-        Gh = H * (Gh + (dt / 2.0) * psi_hat[j]) + (dt / 2.0) * psi_hat[j + 1]
-        G_nodes[j + 1] = g.ifft(spec, Gh)
-    gap = 0.0
-    if check and m % 2 == 0:
-        Ch = np.zeros_like(Gh)
-        for j in range(0, m, 2):
-            dt = s[j + 2] - s[j]
-            H = g.heat_multiplier(spec, dt)
-            Ch = H * (Ch + (dt / 2.0) * psi_hat[j]) + (dt / 2.0) * psi_hat[j + 2]
-        diff = np.abs(g.ifft(spec, Ch) - G_nodes[-1]).max()
-        scale = np.abs(G_nodes[-1]).max()
-        gap = float(diff / scale) if scale > 0 else 0.0
-        if gap > 0.5:
-            raise QuadratureDivergence(
-                f"coarse/fine Duhamel mismatch {gap:.2e}; time grid too coarse"
-            )
-    return G_nodes, Gh, gap
-
-
-def psi_next(b: DriftField, t: float, prev: PsiFamily) -> PsiFamily:
-    """Next correction family -div(b_s * G_k(s)) from the previous one."""
-    G_nodes, _, _ = _propagate(prev)
-    bsl = _drift_slices(b, prev.s_nodes)
-    fields = np.empty_like(prev.fields)
-    for j in range(len(prev.s_nodes)):
-        fields[j] = _neg_div(prev.spec, bsl[j], G_nodes[j])
-    return PsiFamily(spec=prev.spec, t=prev.t, y=prev.y, k=prev.k + 1,
-                     s_nodes=prev.s_nodes, fields=fields)
-
-
 def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
                  m: int = 128) -> ParametrixResult:
     """Sum the correction series for the kernel started at y, horizon t.
@@ -193,34 +157,26 @@ def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     spec = b.spec
-    fam = _psi_first(b, t, y, m=m)
-    batch = fam.y.ndim == 2
-    dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(fam.y)])
-    if not batch:
-        dhat = dhat[0]
+    y = np.asarray(y, dtype=float)
+    s, bs, dhat, psi_hat = _first_family(b, t, y, m)
     gamma_hat = dhat * g.heat_multiplier(spec, t)
     sup_p = float(g.gaussian(spec, t).values.max())
     terms = []
     sups = []
     quad_gap = 0.0
-    k = 0
-    while k < K_max:
-        G_nodes, Gh_last, gap = _propagate(fam)
-        quad_gap = max(quad_gap, gap)
-        term = G_nodes[-1]
-        gamma_hat = gamma_hat + Gh_last
+    for k in range(1, K_max + 1):
+        G_hat = _trapezoid(spec, psi_hat, s)
+        term = g.ifft(spec, G_hat[-1])
+        quad_gap = max(quad_gap, _richardson_gap(spec, psi_hat, s, term))
+        del psi_hat  # batched stacks are large: free each one once it is used
+        gamma_hat = gamma_hat + G_hat[-1]
         terms.append(term)
         sups.append(float(np.abs(term).max()))
-        k += 1
-        if sups[-1] <= tol * sup_p:
+        if sups[-1] <= tol * sup_p or k == K_max:
             break
-        if k < K_max:
-            bsl = _drift_slices(b, fam.s_nodes)
-            nxt = np.empty_like(fam.fields)
-            for j in range(len(fam.s_nodes)):
-                nxt[j] = _neg_div(spec, bsl[j], G_nodes[j])
-            fam = PsiFamily(spec=spec, t=t, y=fam.y, k=fam.k + 1,
-                            s_nodes=fam.s_nodes, fields=nxt)
+        G = g.ifft(spec, G_hat)
+        del G_hat
+        psi_hat = _neg_div_hat(spec, bs, G)
     sups_arr = np.asarray(sups)
     ratio = sups_arr[-1] / sups_arr[-2] if len(sups_arr) >= 2 and sups_arr[-2] > 0 else 0.0
     if sups_arr[-1] > tol * sup_p and ratio >= 1.0:
@@ -234,32 +190,18 @@ def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
     gamma_vals = g.ifft(spec, gamma_hat)
     comps = g.freq_components(spec)
     grads = tuple(g.ifft(spec, (1j * comps[c]) * gamma_hat) for c in range(spec.d))
-    if batch:
+    if y.ndim == 2:
         gamma_field = gamma_vals  # raw array; batch results are consumed internally
         grad_fields = grads
     else:
         gamma_field = g.GridField(spec, gamma_vals)
         grad_fields = tuple(g.GridField(spec, gr) for gr in grads)
     return ParametrixResult(
-        spec=spec, t=t, y=fam.y, K_used=k, gamma=gamma_field,
+        spec=spec, t=t, y=y, K_used=k, gamma=gamma_field,
         grad_gamma=grad_fields, term_fields=np.asarray(terms),
         term_sup_norms=sups_arr, tail_estimate=tail + quad_gap * max(sups_arr.max(), 1e-300),
         quad_gap=quad_gap, gamma_hat=gamma_hat,
     )
-
-
-def gamma_grad(result: ParametrixResult, mu) -> g.GridField:
-    """Term-by-term differentiated series, |mu| = 1."""
-    mu = tuple(int(v) for v in np.atleast_1d(mu))
-    if sum(mu) != 1:
-        raise ValueError(f"gamma_grad needs |mu| = 1, got {mu}")
-    spec = result.spec
-    mult = g.deriv_multiplier(spec, mu)
-    dhat = g.delta_hat(spec, result.y)
-    total = g.ifft(spec, mult * dhat * g.heat_multiplier(spec, result.t))
-    for k in range(result.K_used):
-        total = total + g.ifft(spec, mult * g.fft(spec, result.term_fields[k]))
-    return g.GridField(spec, total)
 
 
 def transition_matrix(b: DriftField, t: float, sources: np.ndarray | None = None,
@@ -302,31 +244,3 @@ def chapman_kolmogorov_residual(b: DriftField, s: float, t: float, y,
     composed = spec.h * (M_first @ M_second[:, iy])
     sup_p = float(g.gaussian(spec, t).values.max())
     return float(np.abs(direct - composed).max() / sup_p)
-
-
-def export_result(result: ParametrixResult, stem) -> Path:
-    """CSV (x, gamma, grad components) plus JSON metadata."""
-    stem = Path(stem)
-    spec = result.spec
-    meta = {
-        "t": result.t,
-        "y": np.atleast_1d(result.y).tolist(),
-        "K_used": result.K_used,
-        "tail_estimate": result.tail_estimate,
-        "term_sup_norms": [float(v) for v in result.term_sup_norms],
-    }
-    stem.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-    csv_path = stem.with_suffix(".csv")
-    if spec.d == 1:
-        x = spec.axis_points()
-        cols = [x, result.gamma.values, result.grad_gamma[0].values]
-        header = "x,gamma,dgamma"
-    else:
-        pts = spec.axis_points()
-        xx, yy = np.meshgrid(pts, pts, indexing="ij")
-        cols = [xx.ravel(), yy.ravel(), result.gamma.values.ravel(),
-                result.grad_gamma[0].values.ravel(), result.grad_gamma[1].values.ravel()]
-        header = "x1,x2,gamma,dgamma1,dgamma2"
-    np.savetxt(csv_path, np.column_stack(cols), delimiter=",", header=header,
-               comments="", fmt="%.12g")
-    return csv_path

@@ -31,9 +31,7 @@ def test_theta_one_step_matches_first_series_term(spec8pi_small):
     spec = spec8pi_small
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
     t = 0.5
-    fam = px.psi_first(b, t, 0.0)
-    G, _, _ = px._propagate(fam)
-    partial1 = g.ifft(spec, g.delta_hat(spec, 0.0) * g.heat_multiplier(spec, t)) + G[-1]
+    partial1 = px.gamma_series(b, t, 0.0, K_max=1).gamma.values
     phi = g.GridField(spec, g.ifft(spec, g.delta_hat(spec, 0.0)))
     v0 = _heat_time_field(spec, phi, t, m=128)
     v1 = cy.theta_apply(phi, b, v0, t)
@@ -46,9 +44,7 @@ def test_theta_one_step_mollified_extrapolates_to_series(spec8pi):
     spec = spec8pi
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
     t = 0.5
-    fam = px.psi_first(b, t, 0.0)
-    G, _, _ = px._propagate(fam)
-    partial1 = g.ifft(spec, g.delta_hat(spec, 0.0) * g.heat_multiplier(spec, t)) + G[-1]
+    partial1 = px.gamma_series(b, t, 0.0, K_max=1).gamma.values
 
     def theta_once(eps):
         phi = g.GridField(spec, g.gaussian_shifted(spec, eps, 0.0).values)

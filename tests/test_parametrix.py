@@ -4,50 +4,60 @@ import numpy as np
 import pytest
 
 from heatlab import drifts, grid as g, parametrix as px
-from heatlab.errors import NoDecay, QuadratureDivergence
+from heatlab.errors import NoDecay, QuadratureDivergence, WraparoundRisk
+
+
+def _families(b, t, k_max, m=128):
+    """Node times and Psi^{0,k} in physical space, k = 1..k_max, via the engine."""
+    spec = b.spec
+    s, bs, _, psi_hat = px._first_family(b, t, 0.0, m)
+    fams = [g.ifft(spec, psi_hat)]
+    for _ in range(k_max - 1):
+        psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, px._trapezoid(spec, psi_hat, s)))
+        fams.append(g.ifft(spec, psi_hat))
+    return s, fams
+
+
+def _l1_norms(spec, fields):
+    return spec.cell * np.abs(fields).sum(axis=-1)
 
 
 def test_psi_first_zero_drift(spec8pi_small):
-    fam = px.psi_first(drifts.zero_drift(spec8pi_small), 1.0, 0.0)
-    assert np.abs(fam.fields).max() == 0.0
+    _, (psi1,) = _families(drifts.zero_drift(spec8pi_small), 1.0, 1)
+    assert np.abs(psi1).max() == 0.0
 
 
 def test_psi_first_constant_drift_formula(spec8pi_small):
     # for b = lambda the divergence form collapses to -lambda * dp(s, .-y)
     spec = spec8pi_small
     lam = 1.3
-    fam = px.psi_first(drifts.constant_drift(spec, lam), 1.0, 0.0)
-    for j in (1, len(fam.s_nodes) // 2, len(fam.s_nodes) - 1):
-        s = fam.s_nodes[j]
-        expect = -lam * g.gaussian_deriv(spec, s, (1,)).values
-        assert np.abs(fam.fields[j] - expect).max() < 1e-10
+    s, (psi1,) = _families(drifts.constant_drift(spec, lam), 1.0, 1)
+    for j in (1, len(s) // 2, len(s) - 1):
+        expect = -lam * g.gaussian_deriv(spec, s[j], (1,)).values
+        assert np.abs(psi1[j] - expect).max() < 1e-10
 
 
 def test_psi_first_l1_singularity_scale(spec8pi_small):
     # ||Psi^1_s||_1 * sqrt(s) stays under the analytic envelope
     spec = spec8pi_small
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
-    fam = px.psi_first(b, 1.0, 0.0)
-    s = fam.s_nodes[1:]
-    prod = fam.l1_norms()[1:] * np.sqrt(s)
+    s, (psi1,) = _families(b, 1.0, 1)
+    prod = _l1_norms(spec, psi1)[1:] * np.sqrt(s[1:])
     bound = np.sqrt(2 / np.pi) * 1.0 + np.sqrt(1.0) * 1.0  # sup|b|, sup|div b| = 1
     assert prod.max() < 2 * bound
 
 
 def test_psi_next_zero_and_growth(spec8pi_small):
     spec = spec8pi_small
-    z = px.psi_next(drifts.zero_drift(spec), 1.0,
-                    px.psi_first(drifts.zero_drift(spec), 1.0, 0.0))
-    assert np.abs(z.fields).max() == 0.0
+    _, (_, psi2) = _families(drifts.zero_drift(spec), 1.0, 2)
+    assert np.abs(psi2).max() == 0.0
     # integral of ||Psi^k||_1 grows no faster than t^{(1+3k)/2}
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
     for k in (1, 2):
         vals = []
         for t in (0.5, 1.0, 2.0):
-            fam = px.psi_first(b, t, 0.0)
-            for _ in range(k - 1):
-                fam = px.psi_next(b, t, fam)
-            vals.append(np.trapezoid(fam.l1_norms(), fam.s_nodes))
+            s, fams = _families(b, t, k)
+            vals.append(np.trapezoid(_l1_norms(spec, fams[k - 1]), s))
         assert vals[-1] / vals[0] < 4.0 ** ((1 + 3 * k) / 2)
         assert all(np.isfinite(vals))
 
@@ -94,22 +104,15 @@ def test_gamma_series_translation_covariance(spec8pi_small):
 
 def test_gamma_grad(spec8pi):
     res0 = px.gamma_series(drifts.zero_drift(spec8pi), 1.0, 0.0)
-    grad = px.gamma_grad(res0, (1,))
-    assert np.abs(grad.values - g.gaussian_deriv(spec8pi, 1.0, (1,)).values).max() < 1e-10
+    grad = res0.grad_gamma[0].values
+    assert np.abs(grad - g.gaussian_deriv(spec8pi, 1.0, (1,)).values).max() < 1e-10
     b = drifts.single_mode_drift(spec8pi, amplitude=1.0, xi0=1.0)
-    res = px.gamma_series(b, 1.0, 0.0)
-    grad = px.gamma_grad(res, (1,))
-    # agrees with the spectral gradient of the summed series
-    spectral = res.grad_gamma[0].values
-    sup_dp = np.abs(g.gaussian_deriv(spec8pi, 1.0, (1,)).values).max()
-    assert np.abs(grad.values - spectral).max() < 1e-6 * sup_dp
+    grad = px.gamma_series(b, 1.0, 0.0).grad_gamma[0].values
     # gradient envelope: sup |dGamma| / (t^{-1/2} p(ct, .)) finite
     env = g.gaussian(spec8pi, 2.0).values
     mask = env > 1e-13 * env.max()
-    ratio = np.abs(grad.values[mask]) / env[mask]
+    ratio = np.abs(grad[mask]) / env[mask]
     assert np.isfinite(ratio.max())
-    with pytest.raises(ValueError):
-        px.gamma_grad(res, (2,))
 
 
 def test_gamma_grad_odd_symmetry_oracle(spec8pi):
@@ -129,25 +132,34 @@ def test_gamma_grad_odd_symmetry_oracle(spec8pi):
 def test_quadrature_divergence_detected(spec8pi_small):
     # synthetic family alternating sign per node: coarse/fine trapezoid differ O(1)
     spec = spec8pi_small
-    t = 1.0
-    s = px.time_nodes(t, 8)
+    s = px.time_nodes(1.0, 8)
     base = g.gaussian(spec, 0.5).values
-    fields = np.stack([(-1.0) ** j * base for j in range(len(s))])
-    fam = px.PsiFamily(spec=spec, t=t, y=np.asarray(0.0), k=1, s_nodes=s, fields=fields)
+    psi_hat = g.fft(spec, np.stack([(-1.0) ** j * base for j in range(len(s))]))
+    fine = g.ifft(spec, px._trapezoid(spec, psi_hat, s)[-1])
     with pytest.raises(QuadratureDivergence):
-        px._propagate(fam)
+        px._richardson_gap(spec, psi_hat, s, fine)
 
 
 def test_series_term_vs_family_propagation(spec8pi_small):
-    # psi_next consistency: family k=2 equals -div(b * G_1) with G_1 from k=1
+    # family k=2 is -div(b * G_1) with G_1(0) = 0, so it vanishes at s=0
     spec = spec8pi_small
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
-    fam1 = px.psi_first(b, 0.5, 0.0)
-    fam2 = px.psi_next(b, 0.5, fam1)
-    assert fam2.k == 2
-    assert fam2.fields.shape == fam1.fields.shape
-    # zero at s=0 since G_1(0) = 0
-    assert np.abs(fam2.fields[0]).max() == 0.0
+    _, (psi1, psi2) = _families(b, 0.5, 2)
+    assert psi2.shape == psi1.shape
+    assert np.abs(psi2[0]).max() == 0.0
+    assert np.abs(psi2).max() > 0.0
+
+
+def test_correction_spectra_are_those_of_real_fields(spec8pi_small):
+    # the I-tables differentiate the Psi^k spectra directly: a non-Hermitian
+    # Nyquist residue would show there as a grid-scale sawtooth
+    spec = spec8pi_small
+    b = drifts.make_preset("multi-mode", spec)
+    s, bs, _, psi_hat = px._first_family(b, 0.5, 1.9, 64)
+    for _ in range(3):
+        real = g.fft(spec, g.ifft(spec, psi_hat))
+        assert np.abs(psi_hat - real).max() <= 1e-13 * np.abs(psi_hat).max()
+        psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, px._trapezoid(spec, psi_hat, s)))
 
 
 def test_chapman_kolmogorov_zero_and_constant(spec8pi_small):
@@ -170,10 +182,110 @@ def test_batched_sources_match_single(spec8pi_small):
     assert np.abs(batch.gamma[1] - two.gamma.values).max() < 1e-13
 
 
-def test_export_result(tmp_path, spec8pi_small):
-    res = px.gamma_series(drifts.constant_drift(spec8pi_small, 1.0), 0.5, 0.0, K_max=6)
-    path = px.export_result(res, tmp_path / "kernel")
-    assert path.exists()
-    header = (tmp_path / "kernel.json").read_text()
-    assert "K_used" in header and "tail_estimate" in header
-    assert (tmp_path / "kernel.csv").read_text().startswith("x,gamma,dgamma")
+def _series_per_node(b, t, y, K_max=12, tol=1e-6, m=128):
+    # the series one node at a time: drift slice by DriftField.at_time,
+    # -div(b G) back in physical space at every node, and the exponential
+    # trapezoid on a forward transform of each family (with its even-node
+    # Richardson twin); returns (K_used, gamma, its gradient, quad_gap)
+    spec = b.spec
+    comps = g.freq_components(spec)
+    s = px.time_nodes(t, m)
+    y = np.asarray(y, dtype=float)
+    dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
+    dhat = dhat if y.ndim == 2 else dhat[0]
+
+    def neg_div(j, v):
+        bsl = b.at_time(s[j])
+        return -g.ifft(spec, sum((1j * comps[c]) * g.fft(spec, bsl[c] * v)
+                                 for c in range(spec.d)))
+
+    def trapezoid(psi_hat, idx):
+        Gh, out = np.zeros_like(psi_hat[0]), [np.zeros(dhat.shape)]
+        for j0, j1 in zip(idx[:-1], idx[1:]):
+            dt = s[j1] - s[j0]
+            Gh = g.heat_multiplier(spec, dt) * (Gh + (dt / 2.0) * psi_hat[j0]) \
+                + (dt / 2.0) * psi_hat[j1]
+            out.append(g.ifft(spec, Gh))
+        return Gh, np.stack(out)
+
+    fields = np.stack([neg_div(j, g.ifft(spec, dhat * g.heat_multiplier(spec, sj)))
+                       for j, sj in enumerate(s)])
+    gamma_hat = dhat * g.heat_multiplier(spec, t)
+    sup_p = g.gaussian(spec, t).values.max()
+    quad_gap = 0.0
+    for k in range(1, K_max + 1):
+        psi_hat = np.stack([g.fft(spec, f) for f in fields])
+        Gh, G = trapezoid(psi_hat, range(len(s)))
+        _, C = trapezoid(psi_hat, range(0, len(s), 2))
+        quad_gap = max(quad_gap, np.abs(C[-1] - G[-1]).max() / np.abs(G[-1]).max())
+        gamma_hat = gamma_hat + Gh
+        if np.abs(G[-1]).max() <= tol * sup_p:
+            break
+        fields = np.stack([neg_div(j, G[j]) for j in range(len(s))])
+    return k, g.ifft(spec, gamma_hat), g.ifft(spec, 1j * comps[0] * gamma_hat), quad_gap
+
+
+def _swapped_single_mode_2d():
+    b = drifts.single_mode_drift(g.make_grid(2, 32, 8 * np.pi), amplitude=1.0, xi0=1.0)
+    b.values[:, 1] = np.swapaxes(b.values[:, 1], -1, -2).copy()  # both axes carry drift
+    return b
+
+
+@pytest.mark.parametrize("make_drift, y", [
+    (lambda s: drifts.constant_drift(s, 1.0), 0.0),
+    (lambda s: drifts.single_mode_drift(s, amplitude=1.0, xi0=1.0), 0.3),
+    (lambda s: drifts.make_preset("multi-mode", s), 1.9),
+    (lambda s: drifts.make_preset("time-varying", s, horizon=1.0), -1.1),
+    (lambda s: drifts.make_preset("traveling-mode", s, horizon=1.0), 0.7),
+    (lambda s: drifts.make_preset("traveling-mode", s, horizon=1.0),
+     np.array([[-2.0], [-0.4], [0.9], [3.3]])),
+    (lambda s: _swapped_single_mode_2d(), np.array([0.4, -0.6])),
+], ids=["constant", "single-mode", "multi-mode", "time-varying", "traveling-mode",
+        "traveling-mode-batch4", "single-mode-2d"])
+def test_series_matches_per_node_loop(spec8pi_small, make_drift, y):
+    b = make_drift(spec8pi_small)
+    res = px.gamma_series(b, 0.5, y)
+    k, gamma, grad, quad_gap = _series_per_node(b, 0.5, y)
+    got, got_grad = res.gamma, res.grad_gamma[0]
+    if np.ndim(y) < 2:
+        got, got_grad = got.values, got_grad.values
+    assert res.K_used == k
+    assert np.abs(got - gamma).max() <= 1e-13 * np.abs(gamma).max()
+    # the spectral gradient sees the Nyquist mode that -div(b G) must not feed
+    assert np.abs(got_grad - grad).max() <= 1e-13 * np.abs(grad).max()
+    assert abs(res.quad_gap - quad_gap) <= 1e-12
+
+
+def test_gamma_series_guards(spec8pi_small):
+    spec = spec8pi_small
+    b = drifts.single_mode_drift(spec, amplitude=1.0)
+    for t in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            px.gamma_series(b, t, 0.0)
+    with pytest.raises(ValueError):
+        px.gamma_series(drifts.make_preset("time-varying", spec, horizon=0.5), 0.75, 0.0)
+    with pytest.raises(ValueError):
+        px.gamma_series(b, 0.5, 0.0, K_max=0)
+    with pytest.raises(WraparoundRisk):
+        px.gamma_series(b, 1.01 * (spec.L / 8) ** 2, 0.0)
+
+
+def test_series_transforms_per_term_do_not_grow_with_nodes(spec8pi_small, monkeypatch):
+    # each term costs a fixed number of (batched) transforms, whatever m is
+    calls = {"n": 0}
+    for name in ("fft", "ifft"):
+        def counting(*args, _orig=getattr(g, name)):
+            calls["n"] += 1
+            return _orig(*args)
+        monkeypatch.setattr(g, name, counting)
+    b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0, xi0=1.0)
+
+    def count(K, m):
+        calls["n"] = 0
+        assert px.gamma_series(b, 0.5, 0.0, K_max=K, tol=0.0, m=m).K_used == K
+        return calls["n"]
+
+    per_term = {m: count(3, m) - count(2, m) for m in (32, 128)}
+    assert per_term[32] == per_term[128] == 3 + spec8pi_small.d
+    assert count(3, 32) == count(3, 128)
+
