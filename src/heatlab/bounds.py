@@ -171,9 +171,9 @@ def series_bound_L(beta: float, z_max: float = 50.0, n_z: int = 161) -> float:
 # -- empirical correction-size integrals --------------------------------------
 
 
-def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int):
-    """Sum over derivative multi-indices of order `order` of the masked sup of
-    |derivative field| / envelope."""
+def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
+    """Per node of a spectral stack: sum over derivative multi-indices of order
+    `order` of the masked sup of |derivative field| / envelope."""
     comps = g.freq_components(spec)
     if order == 0:
         muls = [np.ones(spec.shape)]
@@ -185,7 +185,7 @@ def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int):
     total = 0.0
     for mlt in muls:
         vals = g.ifft(spec, mlt * fields_hat)
-        total += float((np.abs(vals)[mask] / pc_vals[mask]).max())
+        total = total + (np.abs(vals)[:, mask] / pc_vals[mask]).max(axis=1)
     return total
 
 
@@ -196,7 +196,7 @@ def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
     integral of the (1-beta, beta)-weighted sup-ratio product.
 
     beta_sel is the literal beta value (0 or the drift's alpha).  d=1 only and
-    k <= 4 (cost guard).
+    k <= 4 (cost guard).  The integrand is formed on the whole node stack.
     """
     spec = b.spec
     if spec.d != 1:
@@ -214,12 +214,10 @@ def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
         s, psi_hat = _family_for(b, t, float(y), k, m, K_cache)
         pc_y = np.roll(pc.values, int(round((y - 0.0) / spec.h)))
         mask = pc_y > I_RATIO_FLOOR * pc_y.max()
-        integrand = np.empty(len(s))
-        for j, sj in enumerate(s):
-            u_hat = g.heat_multiplier(spec, t - sj) * psi_hat[j]
-            A_i = _sup_ratio_norms(spec, u_hat, pc_y, mask, i)
-            A_ip1 = _sup_ratio_norms(spec, u_hat, pc_y, mask, i + 1)
-            integrand[j] = A_i ** (1.0 - beta_sel) * A_ip1**beta_sel
+        u_hat = g.heat_multiplier(spec, t - s) * psi_hat
+        A_i = _sup_ratio_norms(spec, u_hat, pc_y, mask, i)
+        A_ip1 = _sup_ratio_norms(spec, u_hat, pc_y, mask, i + 1)
+        integrand = A_i ** (1.0 - beta_sel) * A_ip1**beta_sel
         best = max(best, float(np.trapezoid(integrand, s)))
     return best
 
@@ -348,7 +346,8 @@ def _ratio_extremes(spec: g.GridSpec, M: np.ndarray, src_idx: np.ndarray,
     The region keeps envelope values above floor_rel times the envelope peak.
     The default floor adapts to the kernel's own noise level (measured from
     its negative overshoot): beyond it the ratio reads truncation/aliasing
-    noise instead of the envelope constant.
+    noise instead of the envelope constant.  The inf is read on max(M, 0), so
+    a negative overshoot gives 0, never a negative lower constant.
     """
     n = spec.n
     i0 = n // 2
@@ -359,31 +358,29 @@ def _ratio_extremes(spec: g.GridSpec, M: np.ndarray, src_idx: np.ndarray,
         floor_rel = max(SUPPORT_FLOOR, 50.0 * noise)
     mask = P > floor_rel * p_env.max()
     ratios = M[mask] / P[mask]
-    return float(ratios.max()), float(ratios.min())
+    return float(ratios.max()), max(float(ratios.min()), 0.0)
 
 
 def envelope_sweep_entry(b: DriftField, t: float, amplitude: float,
-                         K_max: int = 12, tol: float = 1e-6, m: int = 128,
-                         sources=None) -> dict:
-    """One sweep record: kernel matrix plus drift norms at one (t, amplitude)."""
+                         K_max: int = 12, tol: float = 1e-6, m: int = 128) -> dict:
+    """One sweep record: kernel matrix (row i from grid point i) plus drift
+    norms at one (t, amplitude)."""
     spec = b.spec
     X, Y = drift_norms(b)
-    M, src = transition_matrix(b, t, sources=sources, K_max=K_max, tol=tol, m=m)
-    src_idx = np.array([int(np.argmin(np.abs(spec.axis_points() - s[0]))) for s in src])
+    M, _ = transition_matrix(b, t, K_max=K_max, tol=tol, m=m)
     return {"t": float(t), "amplitude": float(amplitude), "X": X, "Y": Y,
-            "matrix": M, "src_idx": src_idx, "spec": spec}
+            "matrix": M, "src_idx": np.arange(spec.n), "spec": spec}
 
 
-def fit_envelope(entries, c: float, kappa_grid=None, alpha: float = 0.25,
-                 neg_tol: float = 1e-5) -> EnvelopeReport:
+def fit_envelope(entries, c: float, alpha: float = 0.25) -> EnvelopeReport:
     """Extract per-time envelope constants and regress their growth.
 
-    C_upper(t) = sup Gamma / p(ct, x-y); the lower side scans kappa_grid for
-    the largest kappa with a strictly positive infimum ratio.  The regression
+    C_upper(t) = sup Gamma / p(ct, x-y); the lower side scans kappa = 0.9,
+    0.8, ..., 0.1 for the largest kappa with a strictly positive infimum ratio
+    (0.1 with C_lower = 0 if none has one).  A kernel below -1e-5 times its
+    peak (the negativity tolerance) raises EnvelopeViolated.  The regression
     explains log C_upper by t * (X^2 + Y^{2/(1-alpha)}).
     """
-    if kappa_grid is None:
-        kappa_grid = np.arange(0.1, 0.95, 0.1)
     ts = sorted({e["t"] for e in entries})
     amps = sorted({e["amplitude"] for e in entries})
     if len(ts) < 3 or len(amps) < 2:
@@ -393,24 +390,19 @@ def fit_envelope(entries, c: float, kappa_grid=None, alpha: float = 0.25,
     for e in entries:
         spec = e["spec"]
         M = e["matrix"]
-        if M.min() < -neg_tol * M.max():
+        if M.min() < -1e-5 * M.max():
             raise EnvelopeViolated(
                 f"kernel negative ({M.min():.3e}) beyond tolerance at t={e['t']}"
             )
         p_up = g.gaussian(spec, c * e["t"]).values
-        noise = max(0.0, float(-M.min())) / float(M.max())
-        floor_rel = max(SUPPORT_FLOOR, 50.0 * noise)
-        sup_r, _ = _ratio_extremes(spec, M, e["src_idx"], p_up, floor_rel=floor_rel)
-        best = None
-        for kap in sorted(kappa_grid, reverse=True):
+        sup_r, _ = _ratio_extremes(spec, M, e["src_idx"], p_up)
+        best = (0.1, 0.0)
+        for kap in np.arange(0.1, 0.95, 0.1)[::-1]:
             p_lo = g.gaussian(spec, kap * e["t"]).values
-            _, inf_r = _ratio_extremes(spec, np.maximum(M, 0.0), e["src_idx"],
-                                       p_lo, floor_rel=floor_rel)
+            _, inf_r = _ratio_extremes(spec, M, e["src_idx"], p_lo)
             if inf_r > 0:
                 best = (kap, inf_r)
                 break
-        if best is None:
-            best = (float(kappa_grid[0]), 0.0)
         rows.append({"t": e["t"], "amplitude": e["amplitude"], "X": e["X"],
                      "Y": e["Y"], "C_upper": sup_r, "kappa": best[0],
                      "C_lower": best[1]})
@@ -441,44 +433,39 @@ def fit_envelope(entries, c: float, kappa_grid=None, alpha: float = 0.25,
                           r2=float(r2), per_amplitude_slopes=per_amp, loo_slopes=loo)
 
 
-def bootstrap_lower_bound(b: DriftField, a: float, kappa: float,
-                          t_checks=None, K_max: int = 12, tol: float = 1e-6,
-                          m: int = 128) -> dict:
+def bootstrap_lower_bound(b: DriftField, a: float, kappa: float, K_max: int = 12,
+                          tol: float = 1e-6, m: int = 128) -> dict:
     """Composition bootstrap for the lower envelope.
 
-    Measures M on (0, a] as the worst inf of kernel / p(kappa t, x-y), then for
-    each t in t_checks composes the kernel at t/n (n = ceil(t/a)) with itself n
-    times and checks the composed kernel dominates M^{-1-t/a} p(kappa t, .).
+    Measures M on (0, a] as the worst inf of kernel / p(kappa t, x-y) at
+    t = a/2 and a, then for each check time t = 1.5a, 2a, 3a, 4a composes the
+    kernel at t/n (n = ceil(t/a)) with itself n times and checks the composed
+    kernel dominates M^{-1-t/a} p(kappa t, .).  One kernel matrix is built per
+    distinct step time; ratios are read down to SUPPORT_FLOOR.
     Time-homogeneous drifts only (composition reuses one matrix).
     """
     spec = b.spec
     if not b.is_time_constant():
         raise ValueError("bootstrap needs a time-homogeneous drift")
-    if t_checks is None:
-        t_checks = [1.5 * a, 2.0 * a, 3.0 * a, 4.0 * a]
-    base_ts = [a / 2, a]
-    Minv = np.inf
-    src_idx = None
-    for tt in base_ts:
-        M_t, src = transition_matrix(b, tt, K_max=K_max, tol=tol, m=m)
-        src_idx = np.array([int(np.argmin(np.abs(spec.axis_points() - s[0])))
-                            for s in src])
-        p_lo = g.gaussian(spec, kappa * tt).values
-        _, inf_r = _ratio_extremes(spec, np.maximum(M_t, 0.0), src_idx, p_lo)
-        Minv = min(Minv, inf_r)
+    ts = [r * a for r in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)]
+    n_comps = [int(np.ceil(t / a)) for t in ts]
+    kernels = {tt: transition_matrix(b, tt, K_max=K_max, tol=tol, m=m)[0]
+               for tt in dict.fromkeys(t / n for t, n in zip(ts, n_comps))}
+    inf_rs = []
+    for t, n_comp in zip(ts, n_comps):
+        composed = M_step = kernels[t / n_comp]
+        for _ in range(n_comp - 1):
+            composed = spec.h * (composed @ M_step)
+        p_lo = g.gaussian(spec, kappa * t).values
+        inf_rs.append(_ratio_extremes(spec, composed, np.arange(spec.n), p_lo,
+                                      floor_rel=SUPPORT_FLOOR)[1])
+    Minv = min(inf_rs[:2])
     if Minv <= 0:
         raise EnvelopeViolated(f"no positive lower constant at kappa={kappa}")
     M_const = max(1.0 / Minv, 1.0 + 1e-9)
     checks = []
-    for t in t_checks:
-        n_comp = int(np.ceil(t / a))
-        M_step, _ = transition_matrix(b, t / n_comp, K_max=K_max, tol=tol, m=m)
-        composed = M_step
-        for _ in range(n_comp - 1):
-            composed = spec.h * (composed @ M_step)
-        p_lo = g.gaussian(spec, kappa * t).values
+    for t, n_comp, inf_r in zip(ts[2:], n_comps[2:], inf_rs[2:]):
         bound = M_const ** (-1.0 - t / a)
-        _, inf_r = _ratio_extremes(spec, np.maximum(composed, 0.0), src_idx, p_lo)
         checks.append({"t": float(t), "n_comp": n_comp,
                        "inf_ratio": inf_r, "required": bound,
                        "ok": bool(inf_r >= bound)})

@@ -44,7 +44,6 @@ class TimeField:
     spec: g.GridSpec
     times: np.ndarray
     values: np.ndarray
-    delta: float = 0.0
     report: dict = field(default_factory=dict)
 
     def slice(self, j: int) -> g.GridField:
@@ -52,9 +51,6 @@ class TimeField:
 
     def terminal(self) -> g.GridField:
         return self.slice(len(self.times) - 1)
-
-    def at_time(self, t: float) -> g.GridField:
-        return self.slice(int(np.argmin(np.abs(self.times - t))))
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ def theta_apply(phi: g.GridField, b: DriftField, v: TimeField, t: float,
     if v.times[-1] > t + 1e-12:
         raise ValueError(f"v extends past the horizon: {v.times[-1]} > {t}")
     out = _slab(phi.spec, phi.values, b, v.times, v.values, offset)
-    return TimeField(phi.spec, v.times, out, delta=v.delta)
+    return TimeField(phi.spec, v.times, out)
 
 
 def step_horizon(X: float, Y: float, alpha: float, beta: float,

@@ -11,7 +11,7 @@ integral(f) ~ h^d * sum(values).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,7 +23,6 @@ from .errors import DivergentMoment, NotPowerOfTwo, SpecMismatch, WraparoundRisk
 __all__ = [
     "GridSpec",
     "GridField",
-    "HeatKernelField",
     "make_grid",
     "gaussian",
     "gaussian_shifted",
@@ -132,9 +131,14 @@ def ifft(spec: GridSpec, fhat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(fhat, axes=axes).real / spec.cell
 
 
-def heat_multiplier(spec: GridSpec, t: float) -> np.ndarray:
-    """Spectral multiplier exp(-t|xi|^2/2) of the heat semigroup."""
-    return np.exp(-t * freq_sq(spec) / 2.0)
+def heat_multiplier(spec: GridSpec, t) -> np.ndarray:
+    """Spectral multiplier exp(-t|xi|^2/2) of the heat semigroup.
+
+    An array of times gives the stack of multipliers, shape t.shape + grid
+    shape, from one exponential.
+    """
+    t = np.asarray(t)
+    return np.exp(-t.reshape(t.shape + (1,) * spec.d) * freq_sq(spec) / 2.0)
 
 
 def delta_hat(spec: GridSpec, center) -> np.ndarray:
@@ -172,13 +176,6 @@ class GridField:
         return GridField(self.spec, self.values.copy())
 
 
-@dataclass
-class HeatKernelField(GridField):
-    """Periodized Gaussian p(t, .) centered at the origin (or shifted)."""
-
-    t: float = field(default=0.0)
-
-
 def _check_wraparound(spec: GridSpec, t: float):
     if np.sqrt(t) > spec.L / 8:
         raise WraparoundRisk(
@@ -198,7 +195,7 @@ def _symmetrize(spec: GridSpec, values: np.ndarray, sign: int) -> np.ndarray:
     return 0.5 * (values + sign * mirror)
 
 
-def gaussian(spec: GridSpec, t: float) -> HeatKernelField:
+def gaussian(spec: GridSpec, t: float) -> GridField:
     """Periodized heat kernel p(t, .) centered at x=0, defined spectrally.
 
     Mass h^d*sum = 1 exactly (DC mode is 1); even symmetry on the grid.
@@ -207,16 +204,16 @@ def gaussian(spec: GridSpec, t: float) -> HeatKernelField:
         raise ValueError(f"t must be positive, got {t}")
     _check_wraparound(spec, t)
     vals = ifft(spec, delta_hat(spec, np.zeros(spec.d)) * heat_multiplier(spec, t))
-    return HeatKernelField(spec, _symmetrize(spec, vals, +1), t=t)
+    return GridField(spec, _symmetrize(spec, vals, +1))
 
 
-def gaussian_shifted(spec: GridSpec, t: float, center) -> HeatKernelField:
+def gaussian_shifted(spec: GridSpec, t: float, center) -> GridField:
     """Periodized p(t, . - center); center may be off-grid (spectral shift)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     _check_wraparound(spec, t)
     vals = ifft(spec, delta_hat(spec, center) * heat_multiplier(spec, t))
-    return HeatKernelField(spec, vals, t=t)
+    return GridField(spec, vals)
 
 
 def deriv_multiplier(spec: GridSpec, mu) -> np.ndarray:

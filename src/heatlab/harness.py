@@ -133,12 +133,13 @@ class ExperimentConfig:
             preset or self["drift.preset"], self.spec(),
             amplitude=amplitude if amplitude is not None else self["drift.amplitude"],
             alpha=self["drift.alpha"], seed=self["drift.seed"],
-            horizon=max(self._times()), xi0=self.get("drift.xi0"),
+            horizon=max(self.floats("times")), xi0=self.get("drift.xi0"),
         )
 
-    def _times(self):
-        t = self["times"]
-        return [float(v) for v in (t if isinstance(t, list) else [t])]
+    def floats(self, key) -> list:
+        """A list-valued key as floats; a single value reads as a one-item list."""
+        v = self[key]
+        return [float(x) for x in (v if isinstance(v, list) else [v])]
 
 
 def _fmt(v) -> str:
@@ -212,7 +213,7 @@ def _cmd_besov_check(config):
 def _cmd_parametrix(config):
     b = config.drift()
     rows = []
-    for t in config._times():
+    for t in config.floats("times"):
         res = parametrix.gamma_series(b, t, 0.0, K_max=config["truncation.K_max"],
                                       tol=config["truncation.tol"],
                                       m=config["truncation.m"])
@@ -227,7 +228,7 @@ def _cmd_parametrix(config):
 def _cmd_cauchy(config):
     b = config.drift()
     spec = config.spec()
-    t = max(config._times())
+    t = max(config.floats("times"))
     res = parametrix.gamma_series(b, t, 0.0, K_max=config["truncation.K_max"],
                                   tol=config["truncation.tol"],
                                   m=config["truncation.m"])
@@ -246,16 +247,16 @@ def _cmd_cauchy(config):
 def _envelope_entries(config):
     spec = config.spec()
     entries = []
-    horizon = max(float(t) for t in config["envelope.times"])
-    for amp in config["envelope.amplitudes"]:
-        base = config["envelope.base_amplitude"] * float(amp)
+    times = config.floats("envelope.times")
+    for amp in config.floats("envelope.amplitudes"):
+        base = config["envelope.base_amplitude"] * amp
         b = drifts.traveling_mode_drift(spec, amplitude=base,
                                         alpha=config["drift.alpha"],
                                         speed=config["envelope.eta"] * base,
-                                        horizon=horizon)
-        for t in config["envelope.times"]:
+                                        horizon=max(times))
+        for t in times:
             entries.append(bounds.envelope_sweep_entry(
-                b, float(t), float(amp), K_max=config["truncation.K_max"],
+                b, t, amp, K_max=config["truncation.K_max"],
                 tol=config["truncation.tol"], m=config["truncation.m"]))
     return entries
 
@@ -294,11 +295,8 @@ def _cmd_sharpness(config):
     src = np.array([spec.n // 2])
     up = grid.gaussian(spec, c * t).values
     lo = grid.gaussian(spec, kap * t).values
-    noise = max(0.0, float(-M.min())) / float(M.max())
-    floor_rel = max(bounds.SUPPORT_FLOOR, 50.0 * noise)
-    sup_r, _ = bounds._ratio_extremes(spec, M, src, up, floor_rel=floor_rel)
-    _, inf_r = bounds._ratio_extremes(spec, np.maximum(M, 0), src, lo,
-                                      floor_rel=floor_rel)
+    sup_r, _ = bounds._ratio_extremes(spec, M, src, up)
+    _, inf_r = bounds._ratio_extremes(spec, M, src, lo)
     f_up = bounds.sharp_const_drift(lam, c, t, spec.d, "upper")
     f_lo = bounds.sharp_const_drift(lam, kap, t, spec.d, "lower")
     rows = [
@@ -316,10 +314,10 @@ def _cmd_escape(config):
                               config["mc.seed"])
     rows = []
     shift = 0.5826 * np.sqrt(config["mc.h_t"])
-    for K in config["escape.radii"]:
-        p_hat, (lo, hi) = montecarlo.escape_prob(ens, float(K))
-        oracle = montecarlo.reflection_escape_oracle(float(K), T)
-        oracle_sh = montecarlo.reflection_escape_oracle(float(K) + shift, T)
+    for K in config.floats("escape.radii"):
+        p_hat, (lo, hi) = montecarlo.escape_prob(ens, K)
+        oracle = montecarlo.reflection_escape_oracle(K, T)
+        oracle_sh = montecarlo.reflection_escape_oracle(K + shift, T)
         ok = (oracle_sh - 4 * (hi - lo) <= p_hat <= oracle + 4 * (hi - lo))
         rows.append((K, p_hat, lo, hi, oracle, oracle_sh, ok))
     return ["K", "p_hat", "ci_lo", "ci_hi", "oracle", "oracle_shifted", "ok"], rows
@@ -370,7 +368,7 @@ def _cmd_mollify_sweep(config):
                                 alpha=config["drift.alpha"],
                                 seed=config["drift.seed"], i_max=8)
     part = dyadic.build_partition(spec)
-    levels = [int(v) for v in config["mollify.levels"]]
+    levels = [int(v) for v in config.floats("mollify.levels")]
     full = dyadic.mollify_drift(b, part.j_max)
     T, h_t, N = config["mc.T"], config["mc.h_t"], config["mc.N"]
     dens = {}
@@ -388,7 +386,7 @@ def _cmd_mollify_sweep(config):
 
 def _cmd_ibound_table(config):
     b = config.drift()
-    table = bounds.ibound_table(b, config["ibound.times"],
+    table = bounds.ibound_table(b, config.floats("ibound.times"),
                                 k_max=config["ibound.k_max"],
                                 c=config["envelope.c"],
                                 m=min(config["truncation.m"], 96))

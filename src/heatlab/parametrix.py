@@ -76,18 +76,20 @@ def _neg_div_hat(spec: g.GridSpec, bs: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Spectra of G_j = int_0^{s_j} P_{s_j-r} w_r dr on every node.
 
-    Exponential trapezoid G_{j+1} = H(dt) (G_j + dt/2 w_j) + dt/2 w_{j+1}.
+    Exponential trapezoid G_{j+1} = H(dt_j) (G_j + dt_j/2 w_j) + dt_j/2 w_{j+1};
+    the heat factors of all panels come from one exponential.
     """
+    dts = np.diff(times)
+    H = g.heat_multiplier(spec, dts)
     G_hat = np.zeros_like(w_hat)
-    for j, dt in enumerate(np.diff(times)):
-        G_hat[j + 1] = g.heat_multiplier(spec, dt) * (G_hat[j] + (dt / 2.0) * w_hat[j]) \
-            + (dt / 2.0) * w_hat[j + 1]
+    for j, dt in enumerate(dts):
+        G_hat[j + 1] = H[j] * (G_hat[j] + (dt / 2.0) * w_hat[j]) + (dt / 2.0) * w_hat[j + 1]
     return G_hat
 
 
 def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
     """P_s f at every node s from the spectrum of f: one batched inverse transform."""
-    H = np.exp(-times.reshape((-1,) + (1,) * f_hat.ndim) * g.freq_sq(spec) / 2.0)
+    H = g.heat_multiplier(spec, times.reshape((-1,) + (1,) * (f_hat.ndim - spec.d)))
     return g.ifft(spec, H * f_hat)
 
 

@@ -210,3 +210,132 @@ def test_bootstrap_lower_bound_zero_drift(spec8pi):
     assert boot["all_ok"]
     assert boot["M"] >= 1.0
     assert boot["checks"][-1]["t"] == 1.0
+
+
+# -- references: the previous per-node / per-check implementations, inline ----
+
+
+def _old_ratio_extremes(spec, M, src_idx, p_env, floor_rel=None):
+    """Floor from M's overshoot, both extremes read on M as given."""
+    n = spec.n
+    idx = (np.arange(n)[None, :] - src_idx[:, None] + n // 2) % n
+    P = p_env[idx]
+    if floor_rel is None:
+        noise = max(0.0, float(-M.min())) / float(M.max())
+        floor_rel = max(bounds.SUPPORT_FLOOR, 50.0 * noise)
+    mask = P > floor_rel * p_env.max()
+    ratios = M[mask] / P[mask]
+    return float(ratios.max()), float(ratios.min())
+
+
+def _old_bootstrap(b, a, kappa, K_max, tol, m):
+    """One transition matrix per base time and one per check."""
+    spec = b.spec
+    Minv = np.inf
+    src_idx = None
+    for tt in [a / 2, a]:
+        M_t, src = px.transition_matrix(b, tt, K_max=K_max, tol=tol, m=m)
+        src_idx = np.array([int(np.argmin(np.abs(spec.axis_points() - s[0])))
+                            for s in src])
+        p_lo = g.gaussian(spec, kappa * tt).values
+        _, inf_r = _old_ratio_extremes(spec, np.maximum(M_t, 0.0), src_idx, p_lo)
+        Minv = min(Minv, inf_r)
+    if Minv <= 0:
+        raise EnvelopeViolated(f"no positive lower constant at kappa={kappa}")
+    M_const = max(1.0 / Minv, 1.0 + 1e-9)
+    checks = []
+    for t in [1.5 * a, 2.0 * a, 3.0 * a, 4.0 * a]:
+        n_comp = int(np.ceil(t / a))
+        M_step, _ = px.transition_matrix(b, t / n_comp, K_max=K_max, tol=tol, m=m)
+        composed = M_step
+        for _ in range(n_comp - 1):
+            composed = spec.h * (composed @ M_step)
+        p_lo = g.gaussian(spec, kappa * t).values
+        bound = M_const ** (-1.0 - t / a)
+        _, inf_r = _old_ratio_extremes(spec, np.maximum(composed, 0.0), src_idx, p_lo)
+        checks.append({"t": float(t), "n_comp": n_comp, "inf_ratio": inf_r,
+                       "required": bound, "ok": bool(inf_r >= bound)})
+    return {"kappa": kappa, "M": M_const, "a": a, "checks": checks,
+            "all_ok": all(ch["ok"] for ch in checks)}
+
+
+def _old_i_empirical(b, t, k, i, beta_sel, y_points, m, cache, c=2.0):
+    """Integrand node by node, one single-slice transform per multiplier."""
+    spec = b.spec
+    xi = g.freq_components(spec)[0]
+    muls = {0: [np.ones(spec.shape)], 1: [1j * xi], 2: [(1j * xi) * (1j * xi)]}
+    pc = g.gaussian(spec, c * t)
+    best = 0.0
+    for y in y_points:
+        s, psi_hat = bounds._family_for(b, t, float(y), k, m, cache)
+        pc_y = np.roll(pc.values, int(round(y / spec.h)))
+        mask = pc_y > bounds.I_RATIO_FLOOR * pc_y.max()
+        integrand = np.empty(len(s))
+        for j, sj in enumerate(s):
+            u_hat = g.heat_multiplier(spec, t - sj) * psi_hat[j]
+            A = []
+            for order in (i, i + 1):
+                total = 0.0
+                for mlt in muls[order]:
+                    vals = g.ifft(spec, mlt * u_hat)
+                    total += float((np.abs(vals)[mask] / pc_y[mask]).max())
+                A.append(total)
+            integrand[j] = A[0] ** (1.0 - beta_sel) * A[1] ** beta_sel
+        best = max(best, float(np.trapezoid(integrand, s)))
+    return best
+
+
+def test_bootstrap_builds_one_matrix_per_step_time(spec8pi, monkeypatch):
+    # n=256 resolves the smallest composed time kappa*a/2
+    b = drifts.single_mode_drift(spec8pi, amplitude=0.5)
+    ref = _old_bootstrap(b, 0.25, 0.5, K_max=4, tol=1e-6, m=24)
+    built = []
+
+    def recording(b_, t, **kw):
+        built.append(t)
+        return px.transition_matrix(b_, t, **kw)
+
+    monkeypatch.setattr(bounds, "transition_matrix", recording)
+    boot = bounds.bootstrap_lower_bound(b, a=0.25, kappa=0.5, K_max=4, m=24)
+    assert sorted(built) == [0.125, 0.1875, 0.25]
+    assert boot == ref
+
+
+@pytest.mark.parametrize("preset", ["single-mode", "multi-mode", "traveling-mode"])
+def test_i_empirical_matches_per_node_loop(spec8pi, preset):
+    b = drifts.make_preset(preset, spec8pi, amplitude=0.8)
+    t, m, ys = 0.5, 32, [0.0, 1.3]
+    cache = {}
+    for k in (1, 2, 3):
+        for i in (0, 1):
+            for beta_sel in (0.0, b.alpha):
+                new = bounds.i_empirical(b, t, k, i, beta_sel, y_points=ys, m=m,
+                                         K_cache=cache)
+                ref = _old_i_empirical(b, t, k, i, beta_sel, ys, m, cache)
+                assert new > 0
+                assert abs(new - ref) <= 1e-13 * ref
+
+
+def test_ratio_extremes_reads_inf_on_clipped_kernel(spec8pi_small):
+    spec = spec8pi_small
+    src = np.arange(spec.n)
+    M, _ = px.transition_matrix(drifts.single_mode_drift(spec, amplitude=0.5), 0.5,
+                                K_max=6, m=32)
+    ringing = M - 1e-7 * M.max()  # a negative overshoot inside the resolved region
+    p_lo = g.gaussian(spec, 0.5 * 0.5).values
+    for K in (M, ringing):
+        for floor_rel in (bounds.SUPPORT_FLOOR, 1e-3):
+            new = bounds._ratio_extremes(spec, K, src, p_lo, floor_rel=floor_rel)
+            clipped = bounds._ratio_extremes(spec, np.maximum(K, 0.0), src, p_lo,
+                                             floor_rel=floor_rel)
+            old = _old_ratio_extremes(spec, np.maximum(K, 0.0), src, p_lo, floor_rel)
+            assert new[1] == clipped[1] == old[1]
+            assert new[0] == old[0]
+        # the default floor comes from K's own overshoot, not the clipped copy's
+        noise = max(0.0, float(-K.min())) / float(K.max())
+        floor_rel = max(bounds.SUPPORT_FLOOR, 50.0 * noise)
+        assert bounds._ratio_extremes(spec, K, src, p_lo) == (
+            _old_ratio_extremes(spec, K, src, p_lo, floor_rel)[0],
+            _old_ratio_extremes(spec, np.maximum(K, 0.0), src, p_lo, floor_rel)[1])
+    assert bounds._ratio_extremes(spec, ringing, src, p_lo,
+                                  floor_rel=bounds.SUPPORT_FLOOR)[1] == 0.0

@@ -1,4 +1,5 @@
-"""Smoke test: the demos that call the fixed point, drift norms and simulate still run."""
+"""Smoke test: the demos that call the fixed point, drift norms, the envelope
+entry points and simulate still run."""
 
 import os
 import subprocess
@@ -11,8 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_heat_kernel_basics", "02_dyadic_blocks_and_besov",
-                                  "04_mild_solution_fixed_point", "06_monte_carlo_validation",
-                                  "07_path_modulus"])
+                                  "04_mild_solution_fixed_point", "05_envelope_bounds",
+                                  "06_monte_carlo_validation", "07_path_modulus"])
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

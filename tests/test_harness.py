@@ -143,3 +143,21 @@ def test_cli_seed_override(tmp_path):
     f2 = sorted((tmp_path / "s2").glob("escape_*.csv"))[0]
     assert f1.name != f2.name  # seed participates in the config hash
     assert f1.read_bytes() != f2.read_bytes()
+
+
+def test_list_keys_take_a_single_value(tmp_path):
+    # a list-valued key given one value reads as a one-item list
+    cfgf = tmp_path / "one.cfg"
+    cfgf.write_text(open(_write_light_cfg(tmp_path)).read()
+                    + "escape.radii = 2.0\nenvelope.times = 0.5\ngrid.n = 64\n")
+    cfg = harness.ExperimentConfig.from_file(cfgf)
+    status, paths = harness.run("escape", cfg, tmp_path / "escape")
+    assert status == 0
+    lines = paths[0].read_text().splitlines()
+    assert len(lines) == 6 and lines[5].startswith("2,")
+    # one time cannot support the growth regression: a named ValueError report
+    status, paths = harness.run("verify-upper", cfg, tmp_path / "upper")
+    assert status == 1
+    text = paths[0].read_text()
+    assert "# status = failed: ValueError" in text
+    assert "need at least 3 times" in text
