@@ -8,15 +8,18 @@ in the same mass-conserving forward orientation as the series construction in
 `parametrix` (the two routes cross-validate each other).  The step horizon is
 chosen so the map contracts with factor <= 1/2; the contraction constant is
 calibrated from actual iterate ratios rather than from the pessimistic a
-priori exponent.  One application is one batched slab step on the spectral
-Duhamel engine shared with `parametrix` (drift lookup, -div(b v) spectrum,
-exponential trapezoid, heat stack): every node is formed at once in spectral
-space, and only the finished stack returns to physical space.
+priori exponent.  The data term P_s phi (the heat base) is built once per
+slab; one application `theta_apply` adds to it the Duhamel integral of
+-div(b v), formed on the spectral engine shared with `parametrix` (drift
+lookup, -div(b v) spectrum, exponential trapezoid) for every node at once,
+with one inverse transform back to physical space.  The calibration and every
+segment run the same Picard iterate sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil
 
 import numpy as np
@@ -24,7 +27,8 @@ import numpy as np
 from . import grid as g
 from .dyadic import BesovIndex, DriftField, besov_norm_values, drift_norms
 from .errors import HorizonTooSmall, NoConvergence
-from .parametrix import _heat_stack, _neg_div_hat, _trapezoid, time_nodes
+from .parametrix import (_check_horizon, _heat_stack, _neg_div_hat, _trapezoid,
+                         time_nodes)
 
 __all__ = [
     "TimeField",
@@ -46,11 +50,8 @@ class TimeField:
     values: np.ndarray
     report: dict = field(default_factory=dict)
 
-    def slice(self, j: int) -> g.GridField:
-        return g.GridField(self.spec, self.values[j])
-
     def terminal(self) -> g.GridField:
-        return self.slice(len(self.times) - 1)
+        return g.GridField(self.spec, self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -62,30 +63,22 @@ class ContractionPlan:
     segments: tuple
 
 
-def _slab(spec: g.GridSpec, phi: np.ndarray, b: DriftField, times: np.ndarray,
-          values: np.ndarray, offset: float) -> np.ndarray:
-    """The Duhamel map on one slab, every node at once, through the engine.
-
-    The spectrum of w_s = -div(b_{offset+s} v_s) over the node stack, its
-    exponential trapezoid G, and the heat base; the G stack and the heat base
-    return to physical space in one transform each.
-    """
-    w_hat = _neg_div_hat(spec, b.at_time(offset + times), values)
-    G = g.ifft(spec, _trapezoid(spec, w_hat, times))
-    return _heat_stack(spec, g.fft(spec, phi), times) + G
-
-
-def theta_apply(phi: g.GridField, b: DriftField, v: TimeField, t: float,
+def theta_apply(base: TimeField, b: DriftField, v: TimeField,
                 offset: float = 0.0) -> TimeField:
-    """One application of the Duhamel map to v on v's own node grid.
+    """One application of the Duhamel map to v: base + G[v] on v's nodes.
 
+    `base` is the heat flow P_s phi of the data on the same nodes.  G[v] is
+    the exponential trapezoid of w_s = -div(b_{offset+s} v_s), formed on the
+    whole node stack in spectral space and returned in one transform.
     `offset` shifts the drift clock (segment restarts evaluate the drift at
     absolute time offset + s).
     """
-    if v.times[-1] > t + 1e-12:
-        raise ValueError(f"v extends past the horizon: {v.times[-1]} > {t}")
-    out = _slab(phi.spec, phi.values, b, v.times, v.values, offset)
-    return TimeField(phi.spec, v.times, out)
+    if not np.array_equal(base.times, v.times):
+        raise ValueError("the heat base and v sit on different time nodes")
+    spec = v.spec
+    w_hat = _neg_div_hat(spec, b.at_time(offset + v.times), v.values)
+    G = g.ifft(spec, _trapezoid(spec, w_hat, v.times))
+    return TimeField(spec, v.times, base.values + G)
 
 
 def step_horizon(X: float, Y: float, alpha: float, beta: float,
@@ -129,8 +122,19 @@ def weighted_norm(v: TimeField, delta: float, idx: BesovIndex) -> float:
     return float(max(vals)) if vals else 0.0
 
 
-def _sup_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
+def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, seg_len: float,
+              m: int, offset: float = 0.0):
+    """Picard iterates on one slab from v_0 = P_s data, with their sup changes.
+
+    The heat base is built once; each step yields (v_k, sup |v_k - v_{k-1}|).
+    """
+    times = time_nodes(seg_len, m)
+    base = TimeField(spec, times, _heat_stack(spec, g.fft(spec, data), times))
+    v = base
+    while True:
+        nxt = theta_apply(base, b, v, offset)
+        yield nxt, float(np.abs(nxt.values - v.values).max())
+        v = nxt
 
 
 def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
@@ -142,43 +146,27 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
     moderate drift); the plan is re-derived with the measured constant and the
     slab is halved until the measured factor is <= 1/2.  Segments restart with
     the previous terminal slice as new data.  Raises NoConvergence if a
-    segment hits max_iter with residual above tol.
+    segment hits max_iter with residual above tol, and the series' ValueError
+    or WraparoundRisk for a horizon T it would refuse.
 
     X+Y only selects the zero-drift branch and fills report["X"]/["Y"]: the
     calibrated c_fit * (X+Y) = rho / trial^expo, so slab length and `factor`
     do not depend on it.  report["calibration"] holds the trial slab and its
     measured ratio rho (None for zero drift).
     """
+    _check_horizon(b, T)
     spec = phi.spec
     alpha = b.alpha
     X, Y = drift_norms(b)
     expo = 1.0 - (alpha + beta) / 2.0
     strength = X + Y
 
-    def solve_segment(data: g.GridField, seg_len: float, offset: float):
-        times = time_nodes(seg_len, m)
-        v = TimeField(spec, times, _heat_stack(spec, g.fft(spec, data.values), times))
-        for it in range(1, max_iter + 1):
-            nxt = theta_apply(data, b, v, seg_len, offset=offset)
-            res = _sup_diff(nxt.values, v.values)
-            v = nxt
-            if res <= tol:
-                return v, it, res
-        raise NoConvergence(
-            f"segment at offset {offset:g} hit max_iter={max_iter} with residual {res:.3e}"
-        )
-
     # calibrate the contraction constant on a trial slab
     calibration = None
     if strength > 0:
         trial = min(T, 0.5)
         while True:
-            times = time_nodes(trial, m)
-            v0 = TimeField(spec, times, _heat_stack(spec, g.fft(spec, phi.values), times))
-            v1 = theta_apply(phi, b, v0, trial)
-            v2 = theta_apply(phi, b, v1, trial)
-            d1 = _sup_diff(v1.values, v0.values)
-            d2 = _sup_diff(v2.values, v1.values)
+            d1, d2 = (res for _, res in islice(_iterates(spec, phi.values, b, trial, m), 2))
             rho = d2 / d1 if d1 > 0 else 0.0
             if rho < 0.5 or trial < 1e-3:
                 break
@@ -191,23 +179,25 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
 
     all_times = [np.array([0.0])]
     all_vals = [phi.values[None]]
-    data = phi
+    data = phi.values
     iters = []
-    residuals = []
     for (a, bnd) in plan.segments:
-        seg_len = bnd - a
-        v, it, res = solve_segment(data, seg_len, offset=a)
+        for it, (v, res) in enumerate(_iterates(spec, data, b, bnd - a, m, offset=a), 1):
+            if res <= tol:
+                break
+            if it >= max_iter:
+                raise NoConvergence(f"segment at offset {a:g} hit max_iter={max_iter} "
+                                    f"with residual {res:.3e}")
         iters.append(it)
-        residuals.append(res)
         all_times.append(a + v.times[1:])
         all_vals.append(v.values[1:])
-        data = v.terminal()
+        data = v.values[-1]
     full = TimeField(spec, np.concatenate(all_times), np.concatenate(all_vals))
     full.report = {
         "segments": len(plan.segments),
         "factor": plan.factor,
         "iterations": iters,
-        "final_residual": residuals[-1] if residuals else 0.0,
+        "final_residual": res,
         "X": X,
         "Y": Y,
         "calibration": calibration,
@@ -228,6 +218,6 @@ def gamma_via_cauchy(b: DriftField, t: float, y, eps: float | None = None,
         eps = spec.h**2
     if eps < spec.h**2:
         raise ValueError(f"eps={eps} below grid resolution floor h^2={spec.h ** 2}")
-    phi = g.GridField(spec, g.gaussian_shifted(spec, eps, y).values)
+    phi = g.gaussian_shifted(spec, eps, y)
     v = picard_solve(phi, b, T=t, tol=tol, max_iter=max_iter, beta=beta, m=m)
     return v.terminal()

@@ -3,6 +3,8 @@ mixed, and time-varying)."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import grid as g
@@ -16,6 +18,16 @@ def _grid_frequency(spec: g.GridSpec, target: float) -> float:
     """Nearest exactly-representable frequency 2*pi*k/L to `target`."""
     k = max(1, round(target * spec.L / (2 * np.pi)))
     return 2 * np.pi * k / spec.L
+
+
+def _from_profile(spec: g.GridSpec, times, prof: np.ndarray, alpha: float,
+                  tag: str) -> DriftField:
+    """Drift whose every component is prof[j](x1) at times[j], constant along
+    the other axes; prof is (len(times), n)."""
+    if spec.d == 2:
+        prof = prof[:, :, None] * np.ones(spec.n)
+    vals = np.repeat(prof[:, None], spec.d, axis=1)
+    return DriftField(spec, times, vals, alpha, tag=tag)
 
 
 def zero_drift(spec: g.GridSpec, alpha: float = 0.25) -> DriftField:
@@ -42,12 +54,8 @@ def single_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
         xi0 = _grid_frequency(spec, 6.0)
     else:
         xi0 = _grid_frequency(spec, xi0)
-    x1 = spec.axis_points()
-    prof = amplitude * np.cos(xi0 * x1)
-    if spec.d == 2:
-        prof = prof[:, None] * np.ones(spec.n)[None, :]
-    vals = np.stack([prof] * spec.d)[None]
-    return DriftField(spec, [0.0], vals, alpha, tag=f"single-mode(xi0={xi0:g})")
+    prof = amplitude * np.cos(xi0 * spec.axis_points())
+    return _from_profile(spec, [0.0], prof[None], alpha, f"single-mode(xi0={xi0:g})")
 
 
 def multi_mode_drift(spec: g.GridSpec, amplitude: float = 1.0, alpha: float = 0.25,
@@ -76,10 +84,7 @@ def multi_mode_drift(spec: g.GridSpec, amplitude: float = 1.0, alpha: float = 0.
             phase = rng.uniform(0, 2 * np.pi)
             prof += 2.0 ** (-alpha * i) * np.cos(2 * np.pi * k / spec.L * x1 + phase)
     prof *= amplitude
-    if spec.d == 2:
-        prof = prof[:, None] * np.ones(spec.n)[None, :]
-    vals = np.stack([prof] * spec.d)[None]
-    return DriftField(spec, [0.0], vals, alpha, tag=f"multi-mode(seed={seed})")
+    return _from_profile(spec, [0.0], prof[None], alpha, f"multi-mode(seed={seed})")
 
 
 def time_varying_drift(spec: g.GridSpec, horizon: float = 1.0, amplitude: float = 1.0,
@@ -94,16 +99,10 @@ def time_varying_drift(spec: g.GridSpec, horizon: float = 1.0, amplitude: float 
     envelope constants.
     """
     xi0 = _grid_frequency(spec, 1.0 if xi0 is None else xi0)
-    x1 = spec.axis_points()
-    prof = amplitude * np.cos(xi0 * x1)
-    if spec.d == 2:
-        prof = prof[:, None] * np.ones(spec.n)[None, :]
+    prof = amplitude * np.cos(xi0 * spec.axis_points())
     times = np.linspace(0.0, horizon, n_slices + 1)
-    vals = np.empty((len(times), spec.d) + spec.shape)
-    for j, tt in enumerate(times):
-        for c in range(spec.d):
-            vals[j, c] = np.sin(omega * tt + phase) * prof
-    return DriftField(spec, times, vals, alpha, tag=f"time-varying(xi0={xi0:g})")
+    return _from_profile(spec, times, np.sin(omega * times + phase)[:, None] * prof,
+                         alpha, f"time-varying(xi0={xi0:g})")
 
 
 def traveling_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
@@ -120,17 +119,10 @@ def traveling_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
     xi0 = _grid_frequency(spec, 1.5 if xi0 is None else xi0)
     if speed is None:
         speed = 0.4 * amplitude
-    x1 = spec.axis_points()
     times = np.linspace(0.0, horizon, n_slices + 1)
-    vals = np.empty((len(times), spec.d) + spec.shape)
-    for j, tt in enumerate(times):
-        prof = amplitude * np.cos(xi0 * (x1 - speed * tt))
-        if spec.d == 2:
-            prof = prof[:, None] * np.ones(spec.n)[None, :]
-        for c in range(spec.d):
-            vals[j, c] = prof
-    return DriftField(spec, times, vals, alpha,
-                      tag=f"traveling-mode(xi0={xi0:g},v={speed:g})")
+    prof = amplitude * np.cos(xi0 * (spec.axis_points() - speed * times[:, None]))
+    return _from_profile(spec, times, prof, alpha,
+                         f"traveling-mode(xi0={xi0:g},v={speed:g})")
 
 
 def refreshing_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
@@ -149,19 +141,13 @@ def refreshing_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
     else:
         xi0 = _grid_frequency(spec, xi0)
     rng = np.random.default_rng(seed)
-    x1 = spec.axis_points()
     times = np.linspace(0.0, horizon, n_slices + 1)
     n_intervals = int(np.ceil(horizon / refresh)) + 1
     phases = rng.uniform(0, 2 * np.pi, n_intervals)
-    vals = np.empty((len(times), spec.d) + spec.shape)
-    for j, tt in enumerate(times):
-        prof = amplitude * np.cos(xi0 * x1 + phases[min(int(tt / refresh), n_intervals - 1)])
-        if spec.d == 2:
-            prof = prof[:, None] * np.ones(spec.n)[None, :]
-        for c in range(spec.d):
-            vals[j, c] = prof
-    return DriftField(spec, times, vals, alpha,
-                      tag=f"refreshing-mode(xi0={xi0:g},refresh={refresh:g})")
+    slot = np.minimum((times / refresh).astype(int), n_intervals - 1)
+    prof = amplitude * np.cos(xi0 * spec.axis_points() + phases[slot][:, None])
+    return _from_profile(spec, times, prof, alpha,
+                         f"refreshing-mode(xi0={xi0:g},refresh={refresh:g})")
 
 
 _PRESETS = {
@@ -178,20 +164,15 @@ _PRESETS = {
 def make_preset(name: str, spec: g.GridSpec, amplitude: float = 1.0,
                 alpha: float = 0.25, seed: int = 7, horizon: float = 1.0,
                 xi0: float | None = None) -> DriftField:
-    """Build a preset drift by name (see _PRESETS for the catalogue)."""
+    """Build a preset drift by name (see _PRESETS for the catalogue).
+
+    Each builder gets the options among these that it takes by name; the
+    amplitude of the constant preset is its `lam`.
+    """
     if name not in _PRESETS:
         raise KeyError(f"unknown drift preset {name!r}; have {sorted(_PRESETS)}")
-    if name == "zero":
-        return zero_drift(spec, alpha)
-    if name == "constant":
-        return constant_drift(spec, amplitude, alpha)
-    if name == "single-mode":
-        return single_mode_drift(spec, amplitude, xi0, alpha)
-    if name == "multi-mode":
-        return multi_mode_drift(spec, amplitude, alpha, seed)
-    if name == "refreshing-mode":
-        return refreshing_mode_drift(spec, amplitude, alpha, xi0,
-                                     horizon=horizon, seed=seed)
-    if name == "traveling-mode":
-        return traveling_mode_drift(spec, amplitude, alpha, xi0, horizon=horizon)
-    return time_varying_drift(spec, horizon, amplitude, xi0, alpha)
+    build = _PRESETS[name]
+    opts = {"amplitude": amplitude, "lam": amplitude, "alpha": alpha, "seed": seed,
+            "horizon": horizon, "xi0": xi0}
+    takes = inspect.signature(build).parameters
+    return build(spec, **{k: v for k, v in opts.items() if k in takes})

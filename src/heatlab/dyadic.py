@@ -13,10 +13,8 @@ to constants but not monotone).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "drift_norms",
     "mollify_drift",
     "product_bound_ratio",
-    "dump_partition",
 ]
 
 #: sentinel index selecting the sum of all blocks i >= 0
@@ -199,7 +196,9 @@ class DriftField:
         """Drift b'_r = b_{r+s} (time shift, for two-time kernels)."""
         keep = self.times >= s - 1e-12
         if not keep.any():
-            keep = np.array([True] * len(self.times))
+            if len(self.times) > 1:
+                raise ValueError(f"shift {s} beyond drift horizon {self.horizon}")
+            keep[0] = True  # a time-constant drift shifts to itself
         t2 = np.maximum(self.times[keep] - s, 0.0)
         t2[0] = 0.0
         return DriftField(self.spec, t2, self.values[keep], self.alpha,
@@ -271,19 +270,3 @@ def product_bound_ratio(u: g.GridField, v: g.GridField, alpha: float, beta: floa
     if den == 0:
         return 0.0
     return num / den
-
-
-def dump_partition(part: DyadicPartition, path) -> Path:
-    """Audit CSV with rows (i, |xi|, rho_i(|xi|)) over unique grid radii."""
-    radius = np.sqrt(g.freq_sq(part.spec)).ravel()
-    order = np.argsort(radius)
-    uniq, first = np.unique(np.round(radius[order], 12), return_index=True)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "xi", "rho"])
-        for i in part.indices:
-            flat = part.multiplier(i).ravel()[order]
-            for r, j in zip(uniq, first):
-                w.writerow([i, f"{r:.12g}", f"{flat[j]:.12g}"])
-    return path

@@ -10,10 +10,8 @@ integral(f) ~ h^d * sum(values).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,8 +30,6 @@ __all__ = [
     "lp_norm",
     "gaussian_exp_moment",
     "discrete_delta",
-    "save_field",
-    "load_field",
 ]
 
 
@@ -311,38 +307,3 @@ def gaussian_exp_moment(c: float, kappa: float, t: float, d: int) -> float:
     half_width = 12.0 * np.sqrt(sig2 / (1.0 - 2.0 * c * kappa))
     val, _ = quad(integrand, -half_width, half_width, limit=200)
     return float(val**d)
-
-
-# -- serialization ------------------------------------------------------------
-#
-# Flat binary (float64, row-major by axis order) or CSV, next to a JSON header
-# {d, n, L, name}.
-
-
-def save_field(f: GridField, stem, name: str = "field", fmt: str = "bin") -> Path:
-    """Write `<stem>.json` header and `<stem>.bin` or `<stem>.csv` values."""
-    stem = Path(stem)
-    header = {"d": f.spec.d, "n": f.spec.n, "L": f.spec.L, "name": name, "format": fmt}
-    stem.with_suffix(".json").write_text(json.dumps(header, sort_keys=True) + "\n")
-    flat = np.ascontiguousarray(f.values, dtype=np.float64).ravel(order="C")
-    if fmt == "bin":
-        data = stem.with_suffix(".bin")
-        flat.tofile(data)
-    elif fmt == "csv":
-        data = stem.with_suffix(".csv")
-        np.savetxt(data, flat, fmt="%.17g")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return data
-
-
-def load_field(stem) -> GridField:
-    """Read a field written by save_field."""
-    stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
-    spec = make_grid(header["d"], header["n"], header["L"])
-    if header["format"] == "bin":
-        flat = np.fromfile(stem.with_suffix(".bin"), dtype=np.float64)
-    else:
-        flat = np.loadtxt(stem.with_suffix(".csv"))
-    return GridField(spec, flat.reshape(spec.shape))

@@ -107,18 +107,24 @@ def _richardson_gap(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
     return gap
 
 
+def _check_horizon(b: DriftField, t: float):
+    """The input guards of both kernel routes: t > 0, t within the horizon of
+    a time-dependent drift, and no wraparound in the box."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if len(b.times) > 1 and t > b.horizon + 1e-9:
+        raise ValueError(f"t={t} beyond drift horizon {b.horizon}")
+    g._check_wraparound(b.spec, t)
+
+
 def _first_family(b: DriftField, t: float, y, m: int):
     """Node grid, source spectra and Psi^{y,1} spectra for horizon t.
 
     Returns (s_nodes, drift slices, delta spectra, Psi^1 spectra); the spectra
     carry a batch axis when y has shape (B, d).
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if len(b.times) > 1 and t > b.horizon + 1e-9:
-        raise ValueError(f"t={t} beyond drift horizon {b.horizon}")
+    _check_horizon(b, t)
     spec = b.spec
-    g._check_wraparound(spec, t)
     y = np.asarray(y, dtype=float)
     dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
     if y.ndim != 2:

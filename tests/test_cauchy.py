@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from heatlab import cauchy as cy, drifts, dyadic as dy, grid as g, parametrix as px
-from heatlab.errors import HorizonTooSmall
+from heatlab.errors import HorizonTooSmall, WraparoundRisk
 
 
-def _heat_time_field(spec, phi, t, m=96):
-    times = px.time_nodes(t, m)
+def _heat_time_field(spec, phi, times):
     phihat = g.fft(spec, phi.values)
     base = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
     return cy.TimeField(spec, times, base)
@@ -18,10 +17,10 @@ def test_theta_zero_drift_is_heat_flow(spec8pi_small):
     spec = spec8pi_small
     phi = g.GridField(spec, g.gaussian(spec, 0.05).values)
     rng = np.random.default_rng(0)
-    v = _heat_time_field(spec, phi, 0.5)
-    v.values = v.values + rng.standard_normal(v.values.shape)  # arbitrary v
-    out = cy.theta_apply(phi, drifts.zero_drift(spec), v, 0.5)
-    ref = _heat_time_field(spec, phi, 0.5)
+    ref = _heat_time_field(spec, phi, px.time_nodes(0.5, 96))
+    noise = rng.standard_normal(ref.values.shape)
+    v = cy.TimeField(spec, ref.times, ref.values + noise)  # arbitrary v
+    out = cy.theta_apply(ref, drifts.zero_drift(spec), v)
     assert np.abs(out.values - ref.values).max() < 1e-13
 
 
@@ -33,8 +32,8 @@ def test_theta_one_step_matches_first_series_term(spec8pi_small):
     t = 0.5
     partial1 = px.gamma_series(b, t, 0.0, K_max=1).gamma.values
     phi = g.GridField(spec, g.ifft(spec, g.delta_hat(spec, 0.0)))
-    v0 = _heat_time_field(spec, phi, t, m=128)
-    v1 = cy.theta_apply(phi, b, v0, t)
+    v0 = _heat_time_field(spec, phi, px.time_nodes(t, 128))
+    v1 = cy.theta_apply(v0, b, v0)
     assert np.abs(v1.values[-1] - partial1).max() < 1e-10
 
 
@@ -48,8 +47,8 @@ def test_theta_one_step_mollified_extrapolates_to_series(spec8pi):
 
     def theta_once(eps):
         phi = g.GridField(spec, g.gaussian_shifted(spec, eps, 0.0).values)
-        v0 = _heat_time_field(spec, phi, t, m=128)
-        return cy.theta_apply(phi, b, v0, t).values[-1]
+        v0 = _heat_time_field(spec, phi, px.time_nodes(t, 128))
+        return cy.theta_apply(v0, b, v0).values[-1]
 
     eps = spec.h**2
     out = 2 * theta_once(eps) - theta_once(2 * eps)
@@ -102,9 +101,72 @@ def test_theta_slab_matches_per_node_loop(make_drift, offset, times):
     phi = g.GridField(spec, g.gaussian_shifted(spec, 0.05, np.full(spec.d, 0.7)).values)
     rng = np.random.default_rng(3)
     v = cy.TimeField(spec, times, rng.standard_normal((len(times),) + spec.shape))
-    out = cy.theta_apply(phi, b, v, times[-1], offset=offset).values
+    out = cy.theta_apply(_heat_time_field(spec, phi, times), b, v, offset=offset).values
     ref = _theta_per_node(phi, b, v, offset)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _count_transforms(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counting(*args, _name=name, _orig=getattr(g, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(g, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("d, n", [(1, 128), (2, 32)])
+def test_theta_apply_transforms_only_the_duhamel_stack(monkeypatch, d, n):
+    # the heat base comes in built: one forward transform per drift
+    # component and one inverse transform of the G stack
+    b = _refreshing(d, n)
+    phi = g.gaussian_shifted(b.spec, 0.05, np.full(d, 0.7))
+    base = _heat_time_field(b.spec, phi, px.time_nodes(0.5, 32))
+    calls = _count_transforms(monkeypatch)
+    cy.theta_apply(base, b, base, offset=0.3)
+    assert calls == {"fft": d, "ifft": 1}
+
+
+def test_picard_builds_one_heat_base_per_slab(monkeypatch, spec8pi_small):
+    # three calibration trials and three segments on a time-dependent drift
+    spec = spec8pi_small
+    b = drifts.make_preset("traveling-mode", spec, amplitude=2.0, horizon=1.0)
+    phi = g.gaussian_shifted(spec, 0.05, 0.0)
+    norms = dy.drift_norms(b)
+    monkeypatch.setattr(cy, "drift_norms", lambda _b: norms)
+    calls = _count_transforms(monkeypatch)
+    v = cy.picard_solve(phi, b, T=1.0, tol=1e-9)
+    rep = v.report
+    trials = round(np.log2(0.5 / rep["calibration"]["trial"])) + 1
+    slabs = trials + rep["segments"]
+    thetas = 2 * trials + sum(rep["iterations"])
+    assert trials > 1 and rep["segments"] > 1
+    assert calls == {"fft": thetas + slabs, "ifft": thetas + slabs}
+
+
+def test_theta_apply_rejects_base_on_other_nodes(spec8pi_small):
+    spec = spec8pi_small
+    phi = g.gaussian(spec, 0.05)
+    v = _heat_time_field(spec, phi, px.time_nodes(0.5, 32))
+    with pytest.raises(ValueError):
+        cy.theta_apply(_heat_time_field(spec, phi, px.time_nodes(0.25, 32)),
+                       drifts.zero_drift(spec), v)
+
+
+@pytest.mark.parametrize("preset, t, error", [
+    ("single-mode", 0.0, ValueError),
+    ("single-mode", -1.0, ValueError),
+    ("traveling-mode", 1.5, ValueError),
+    ("single-mode", 12.0, WraparoundRisk),
+], ids=["t-zero", "t-negative", "past-horizon", "wraparound"])
+def test_both_routes_refuse_the_same_horizons(spec8pi_small, preset, t, error):
+    b = drifts.make_preset(preset, spec8pi_small, horizon=1.0)
+    with pytest.raises(Exception) as series:
+        px.gamma_series(b, t, 0.0)
+    with pytest.raises(Exception) as fixed:
+        cy.gamma_via_cauchy(b, t, 0.0)
+    assert series.type is fixed.type is error
 
 
 def test_step_horizon_plan():
@@ -150,7 +212,7 @@ def test_picard_fixed_point_property(spec8pi_small):
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
     phi = g.GridField(spec, g.gaussian_shifted(spec, 0.05, 0.0).values)
     v = cy.picard_solve(phi, b, T=0.5, tol=1e-10)
-    again = cy.theta_apply(phi, b, v, 0.5)
+    again = cy.theta_apply(_heat_time_field(spec, phi, v.times), b, v)
     assert np.abs(again.values - v.values).max() < 1e-8
 
 
@@ -160,12 +222,13 @@ def test_picard_contraction_and_uniqueness(spec8pi_small):
     phi = g.GridField(spec, g.gaussian_shifted(spec, 0.05, 0.0).values)
     t = 0.5
     # iterate from two different seeds; same limit, geometric residuals
-    v_a = _heat_time_field(spec, phi, t)
+    base = _heat_time_field(spec, phi, px.time_nodes(t, 96))
+    v_a = base
     v_b = cy.TimeField(spec, v_a.times, np.zeros_like(v_a.values))
     res_hist = []
     for _ in range(25):
-        na = cy.theta_apply(phi, b, v_a, t)
-        nb = cy.theta_apply(phi, b, v_b, t)
+        na = cy.theta_apply(base, b, v_a)
+        nb = cy.theta_apply(base, b, v_b)
         res_hist.append(np.abs(na.values - v_a.values).max())
         v_a, v_b = na, nb
     assert np.abs(v_a.values - v_b.values).max() < 1e-8

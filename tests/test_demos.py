@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_heat_kernel_basics", "02_dyadic_blocks_and_besov",
+                                  "03_parametrix_series",
                                   "04_mild_solution_fixed_point", "05_envelope_bounds",
                                   "06_monte_carlo_validation", "07_path_modulus"])
 def test_demo_runs(name):

@@ -241,9 +241,12 @@ def test_product_bound_ratio_random_sample(spec8pi_small):
     assert worst < 100
 
 
-def test_partition_dump(tmp_path, spec8pi_small):
-    part = dy.build_partition(spec8pi_small)
-    path = dy.dump_partition(part, tmp_path / "partition.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,xi,rho"
-    assert len(lines) > 10
+def test_shift_past_horizon(spec8pi_small):
+    b = drifts.make_preset("traveling-mode", spec8pi_small, horizon=1.0)
+    assert b.shift(0.5).horizon == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="horizon"):
+        b.shift(1.5)
+    static = drifts.single_mode_drift(spec8pi_small)
+    moved = static.shift(1.5)  # a one-sample drift is the same at every time
+    assert np.array_equal(moved.times, [0.0])
+    assert np.array_equal(moved.values, static.values)

@@ -149,17 +149,6 @@ def test_gaussian_exp_moment():
     assert abs(g.gaussian_exp_moment(c, k, 0.5, 2) - 1 / (1 - 2 * c * k)) < 1e-6
 
 
-def test_field_serialization_roundtrip(tmp_path, spec40):
-    rng = np.random.default_rng(2)
-    f = g.GridField(spec40, rng.standard_normal(spec40.shape))
-    for fmt in ("bin", "csv"):
-        g.save_field(f, tmp_path / f"f_{fmt}", name="noise", fmt=fmt)
-        back = g.load_field(tmp_path / f"f_{fmt}")
-        assert back.spec == spec40
-        tol = 0 if fmt == "bin" else 1e-15
-        assert np.abs(back.values - f.values).max() <= tol
-
-
 def test_field_rejects_nonfinite(spec40):
     bad = np.zeros(spec40.shape)
     bad[0] = np.nan
