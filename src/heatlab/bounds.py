@@ -22,8 +22,8 @@ from scipy.special import gammaln, logsumexp
 from . import grid as g
 from .dyadic import DriftField, drift_norms
 from .errors import EnvelopeViolated
-from .parametrix import (_first_family, _neg_div_hat, _richardson_gap, _trapezoid,
-                         transition_matrix)
+from .parametrix import (_first_family, _neg_div_hat, _richardson_gap, _richardson_mismatch,
+                         _trapezoid, transition_matrix)
 
 __all__ = [
     "beta_fn",
@@ -189,6 +189,42 @@ def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
     return total
 
 
+def _ratio_stacks(b: DriftField, t: float, k: int, y_points, pc: g.GridField,
+                  m: int, cache: dict | None) -> list:
+    """Per source y: (node times s, [A_0, A_1, A_2]), where A_j is the per-node
+    sum of masked sup ratios of the order-j derivatives of P_{t-s} Psi^{y,k}_s
+    to the envelope pc = p(ct, .) centred at y.
+
+    d=1 only and k <= 4 (cost guard).  Default sources: four points a quarter
+    box apart.
+    """
+    spec = b.spec
+    if spec.d != 1:
+        raise ValueError("i_empirical is d=1 only")
+    if k > 4:
+        raise ValueError("k <= 4 (cost guard)")
+    if y_points is None:
+        y_points = spec.axis_points()[:: spec.n // 4][:4]
+    stacks = []
+    for y in np.atleast_1d(y_points):
+        s, psi_hat = _family_for(b, t, float(y), k, m, cache)
+        pc_y = np.roll(pc.values, int(round((y - 0.0) / spec.h)))
+        mask = pc_y > I_RATIO_FLOOR * pc_y.max()
+        u_hat = g.heat_multiplier(spec, t - s) * psi_hat
+        stacks.append((s, [_sup_ratio_norms(spec, u_hat, pc_y, mask, order)
+                           for order in (0, 1, 2)]))
+    return stacks
+
+
+def _i_entry(stacks: list, i: int, beta_sel: float) -> float:
+    """Sup over sources of the time integral of A_i^(1-beta) A_{i+1}^beta."""
+    best = 0.0
+    for s, A in stacks:
+        integrand = A[i] ** (1.0 - beta_sel) * A[i + 1] ** beta_sel
+        best = max(best, float(np.trapezoid(integrand, s)))
+    return best
+
+
 def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
                 y_points=None, c: float = 2.0, m: int = 96,
                 K_cache: dict | None = None) -> float:
@@ -198,28 +234,10 @@ def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
     beta_sel is the literal beta value (0 or the drift's alpha).  d=1 only and
     k <= 4 (cost guard).  The integrand is formed on the whole node stack.
     """
-    spec = b.spec
-    if spec.d != 1:
-        raise ValueError("i_empirical is d=1 only")
-    if k > 4:
-        raise ValueError("k <= 4 (cost guard)")
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    if y_points is None:
-        pts = spec.axis_points()
-        y_points = pts[:: spec.n // 4][:4]
-    pc = g.gaussian(spec, c * t)
-    best = 0.0
-    for y in np.atleast_1d(y_points):
-        s, psi_hat = _family_for(b, t, float(y), k, m, K_cache)
-        pc_y = np.roll(pc.values, int(round((y - 0.0) / spec.h)))
-        mask = pc_y > I_RATIO_FLOOR * pc_y.max()
-        u_hat = g.heat_multiplier(spec, t - s) * psi_hat
-        A_i = _sup_ratio_norms(spec, u_hat, pc_y, mask, i)
-        A_ip1 = _sup_ratio_norms(spec, u_hat, pc_y, mask, i + 1)
-        integrand = A_i ** (1.0 - beta_sel) * A_ip1**beta_sel
-        best = max(best, float(np.trapezoid(integrand, s)))
-    return best
+    stacks = _ratio_stacks(b, t, k, y_points, g.gaussian(b.spec, c * t), m, K_cache)
+    return _i_entry(stacks, i, beta_sel)
 
 
 def _family_for(b, t, y, k, m, cache):
@@ -232,7 +250,7 @@ def _family_for(b, t, y, k, m, cache):
     else:
         s, psi_hat = _family_for(b, t, y, k - 1, m, cache)
         G = g.ifft(b.spec, _trapezoid(b.spec, psi_hat, s))
-        _richardson_gap(b.spec, psi_hat, s, G[-1])
+        _richardson_gap(*_richardson_mismatch(b.spec, psi_hat, s, G[-1]))
         psi_hat = _neg_div_hat(b.spec, b.at_time(s), G)
     if cache is not None:
         cache[key] = (s, psi_hat)
@@ -281,11 +299,12 @@ def ibound_table(b: DriftField, t_values, k_max: int = 3, c: float = 2.0,
     cache: dict = {}
     raw = []
     for t in np.atleast_1d(t_values):
+        pc = g.gaussian(b.spec, c * float(t))
         for k in range(1, k_max + 1):
+            stacks = _ratio_stacks(b, float(t), k, y_points, pc, m, cache)
             for i in (0, 1):
                 for beta_sel in (0.0, alpha):
-                    emp = i_empirical(b, float(t), k, i, beta_sel,
-                                      y_points=y_points, c=c, m=m, K_cache=cache)
+                    emp = _i_entry(stacks, i, beta_sel)
                     base = i_rhs(k, i, beta_sel, float(t), X, Y, C, M, 1.0, alpha)
                     raw.append({"i": i, "beta": beta_sel, "k": k, "t": float(t),
                                 "empirical": emp, "rhs_unit": base})

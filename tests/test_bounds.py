@@ -316,6 +316,33 @@ def test_i_empirical_matches_per_node_loop(spec8pi, preset):
                 assert abs(new - ref) <= 1e-13 * ref
 
 
+def test_ibound_table_builds_three_ratio_stacks_per_family(spec8pi, monkeypatch):
+    # one stack per derivative order 0, 1, 2 for each (t, k, source), one
+    # envelope per t; entries equal the per-entry i_empirical calls exactly
+    b = drifts.make_preset("traveling-mode", spec8pi, amplitude=0.8)
+    ts, k_max, ys = [0.5, 1.0], 3, [0.0, 1.3]
+    ref = {(e_t, k, i, beta): bounds.i_empirical(b, e_t, k, i, beta, y_points=ys, m=32)
+           for e_t in ts for k in range(1, k_max + 1) for i in (0, 1)
+           for beta in (0.0, b.alpha)}
+    calls = {"orders": [], "envelopes": []}
+
+    def ratio_norms(spec, fields_hat, pc_vals, mask, order, _orig=bounds._sup_ratio_norms):
+        calls["orders"].append(order)
+        return _orig(spec, fields_hat, pc_vals, mask, order)
+
+    def gaussian(spec, t, _orig=g.gaussian):
+        calls["envelopes"].append(t)
+        return _orig(spec, t)
+
+    monkeypatch.setattr(bounds, "_sup_ratio_norms", ratio_norms)
+    monkeypatch.setattr(g, "gaussian", gaussian)
+    table = bounds.ibound_table(b, ts, k_max=k_max, m=32, y_points=ys)
+    assert calls["orders"] == [0, 1, 2] * (len(ts) * k_max * len(ys))
+    assert calls["envelopes"] == [2.0 * t for t in ts]
+    assert {(e["t"], e["k"], e["i"], e["beta"]): e["empirical"]
+            for e in table.entries} == ref
+
+
 def test_ratio_extremes_reads_inf_on_clipped_kernel(spec8pi_small):
     spec = spec8pi_small
     src = np.arange(spec.n)

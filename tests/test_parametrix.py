@@ -1,9 +1,12 @@
 """Correction-series construction: families, series, gradients, composition."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from heatlab import drifts, grid as g, parametrix as px
+from heatlab.dyadic import DriftField
 from heatlab.errors import NoDecay, QuadratureDivergence, WraparoundRisk
 
 
@@ -137,7 +140,7 @@ def test_quadrature_divergence_detected(spec8pi_small):
     psi_hat = g.fft(spec, np.stack([(-1.0) ** j * base for j in range(len(s))]))
     fine = g.ifft(spec, px._trapezoid(spec, psi_hat, s)[-1])
     with pytest.raises(QuadratureDivergence):
-        px._richardson_gap(spec, psi_hat, s, fine)
+        px._richardson_gap(*px._richardson_mismatch(spec, psi_hat, s, fine))
 
 
 def test_series_term_vs_family_propagation(spec8pi_small):
@@ -289,3 +292,134 @@ def test_series_transforms_per_term_do_not_grow_with_nodes(spec8pi_small, monkey
     assert per_term[32] == per_term[128] == 3 + spec8pi_small.d
     assert count(3, 32) == count(3, 128)
 
+
+
+# -- blocked batches ------------------------------------------------------------
+
+
+def _series_one_block(b, t, y, K_max=12, tol=1e-6, m=64):
+    # the batched series as one block: every stack holds all sources, and the
+    # stop test and the Richardson gap read the whole batch directly
+    spec = b.spec
+    s, bs, dhat, psi_hat = px._first_family(b, t, y, m)
+    gamma_hat = dhat * g.heat_multiplier(spec, t)
+    sup_p = float(g.gaussian(spec, t).values.max())
+    terms, sups, quad_gap = [], [], 0.0
+    for k in range(1, K_max + 1):
+        G_hat = px._trapezoid(spec, psi_hat, s)
+        term = g.ifft(spec, G_hat[-1])
+        coarse = g.ifft(spec, px._trapezoid(spec, psi_hat[::2], s[::2])[-1])
+        quad_gap = max(quad_gap, float(np.abs(coarse - term).max() / np.abs(term).max()))
+        gamma_hat = gamma_hat + G_hat[-1]
+        terms.append(term)
+        sups.append(float(np.abs(term).max()))
+        if sups[-1] <= tol * sup_p or k == K_max:
+            break
+        psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, G_hat))
+    ratio = sups[-1] / sups[-2] if len(sups) >= 2 else 0.0
+    tail = sups[-1] * ratio / (1.0 - ratio) if 0 < ratio < 1 else sups[-1]
+    if sups[-1] <= tol * sup_p:
+        tail = sups[-1]
+    comps = g.freq_components(spec)
+    return {"gamma": g.ifft(spec, gamma_hat),
+            "grad_gamma": [g.ifft(spec, (1j * comps[c]) * gamma_hat) for c in range(spec.d)],
+            "gamma_hat": gamma_hat, "term_fields": np.asarray(terms),
+            "term_sup_norms": np.asarray(sups), "K_used": k, "quad_gap": quad_gap,
+            "tail_estimate": tail + quad_gap * max(max(sups), 1e-300)}
+
+
+def _blocked(b, t, y, **kw):
+    # the library call; no pool thread may outlive it
+    before = threading.active_count()
+    try:
+        return px.gamma_series(b, t, y, **kw)
+    finally:
+        assert threading.active_count() == before
+
+
+def _assert_bytes_equal(res, ref):
+    assert res.K_used == ref["K_used"]
+    for name in ("gamma", "gamma_hat", "term_fields", "term_sup_norms"):
+        assert getattr(res, name).tobytes() == ref[name].tobytes(), name
+    for got, want in zip(res.grad_gamma, ref["grad_gamma"], strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert res.quad_gap == ref["quad_gap"]
+    assert res.tail_estimate == ref["tail_estimate"]
+
+
+def _sources_70(spec):
+    # three blocks, the last one partial
+    return np.linspace(-spec.L / 2, spec.L / 2, 70, endpoint=False)[:, None] + 0.05
+
+
+def _bump_drift(spec):
+    # strong drift near x = -8 only: the block of sources there alone sets the
+    # stop and the gap scale; the other blocks alone would stop at K = 3 and
+    # read a larger relative gap
+    x = spec.axis_points()
+    vals = 0.02 * np.cos(6 * x) + np.exp(-(x + 8.0) ** 2)
+    return DriftField(spec, [0.0], vals[None, None, :], tag="bump")
+
+
+@pytest.mark.parametrize("make_drift, make_sources", [
+    (lambda s: drifts.constant_drift(s, 1.0), _sources_70),
+    (lambda s: drifts.single_mode_drift(s, amplitude=1.0, xi0=1.0), _sources_70),
+    (lambda s: drifts.make_preset("multi-mode", s), _sources_70),
+    (lambda s: drifts.make_preset("traveling-mode", s, horizon=1.0), _sources_70),
+    (lambda s: _swapped_single_mode_2d(),
+     lambda s: np.random.default_rng(5).uniform(-8.0, 8.0, size=(40, 2))),
+], ids=["constant", "single-mode", "multi-mode", "traveling-mode", "single-mode-2d"])
+def test_blocked_batch_equals_one_block(spec8pi_small, make_drift, make_sources):
+    b = make_drift(spec8pi_small)
+    ys = make_sources(spec8pi_small)
+    _assert_bytes_equal(_blocked(b, 0.5, ys, m=64), _series_one_block(b, 0.5, ys))
+
+
+def test_one_block_sets_the_global_stop_and_gap(spec8pi_small):
+    b = _bump_drift(spec8pi_small)
+    ys = np.concatenate([np.linspace(-9.5, -6.5, 32), np.linspace(-2.0, 11.0, 38)])[:, None]
+    res = _blocked(b, 0.5, ys, m=64)
+    _assert_bytes_equal(res, _series_one_block(b, 0.5, ys))
+    loud = _blocked(b, 0.5, ys[:32], m=64)
+    assert (loud.K_used, loud.quad_gap) == (res.K_used, res.quad_gap)
+    for quiet in (ys[32:64], ys[64:]):
+        alone = _blocked(b, 0.5, quiet, m=64)
+        assert alone.K_used < res.K_used
+        assert alone.quad_gap > res.quad_gap
+
+
+def test_blocked_errors_propagate_unchanged(spec8pi_small, monkeypatch):
+    spec = spec8pi_small
+    ys = _sources_70(spec)
+    cases = [(QuadratureDivergence, drifts.single_mode_drift(spec, amplitude=1.0), 0.5,
+              {"m": 2}),
+             (NoDecay, drifts.constant_drift(spec, 30.0), 1.0, {"K_max": 4}),
+             (ValueError, drifts.make_preset("time-varying", spec, horizon=0.5), 0.75, {})]
+    for error, b, t, kw in cases:
+        with pytest.raises(error) as blocked:
+            _blocked(b, t, ys, **kw)
+        with monkeypatch.context() as mp:
+            mp.setattr(px, "_SOURCE_BLOCK", len(ys))
+            with pytest.raises(error) as one_block:
+                _blocked(b, t, ys, **kw)
+        assert type(blocked.value) is error
+        assert str(blocked.value) == str(one_block.value)
+
+
+def test_pool_size_follows_cpu_affinity(spec8pi_small, monkeypatch):
+    pools = []
+
+    class Recording(px.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(px, "ThreadPoolExecutor", Recording)
+    b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0, xi0=1.0)
+    ys = _sources_70(spec8pi_small)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(px.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        _blocked(b, 0.5, ys, K_max=2, m=16)
+        _blocked(b, 0.5, ys[:32], K_max=2, m=16)
+        _blocked(b, 0.5, 0.3, K_max=2, m=16)
+    assert pools == [2, 3]  # one worker per CPU, at most one per block
