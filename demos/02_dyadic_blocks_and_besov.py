@@ -22,13 +22,13 @@ print(f"square-function range:   [{sq.min():.4f}, {sq.max():.4f}]")
 x = spec.axis_points()
 wave = g.GridField(spec, np.cos(6.0 * x))
 for i in (0, 1, 2, 3):
-    print(f"  ||Delta_{i} cos(6x)||_inf = {g.lp_norm(dy.block(wave, i, part), np.inf):.3f}")
+    print(f"  ||Delta_{i} cos(6x)||_inf = {g.lp_norm(dy.block(wave, i), np.inf):.3f}")
 
 # The discrete delta exposes the scaling 2^{i d (1 - 1/p)}: sup norms double
 # per block in d=1, L^1 norms stay flat.
 delta = g.discrete_delta(spec)
 for i in range(0, 4):
-    b = dy.block(delta, i, part)
+    b = dy.block(delta, i)
     print(f"  block {i}: sup = {g.lp_norm(b, np.inf):8.3f}   L1 = {g.lp_norm(b, 1):.3f}")
 
 # Drift norms for the preset family.

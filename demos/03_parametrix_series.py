@@ -37,8 +37,7 @@ res = px.gamma_series(drifts.constant_drift(spec, lam), t, 0.0, K_max=14)
 M = res.gamma.values[None, :]
 src = np.array([spec.n // 2])
 sup_r, _ = bounds._ratio_extremes(spec, M, src, g.gaussian(spec, c * t).values)
-_, inf_r = bounds._ratio_extremes(spec, np.maximum(M, 0), src,
-                                  g.gaussian(spec, kap * t).values)
+_, inf_r = bounds._ratio_extremes(spec, M, src, g.gaussian(spec, kap * t).values)
 print(f"sup Gamma/p(ct): {sup_r:.4f}  formula {bounds.sharp_const_drift(lam, c, t, 1, 'upper'):.4f}")
 print(f"inf Gamma/p(kt): {inf_r:.4f}  formula {bounds.sharp_const_drift(lam, kap, t, 1, 'lower'):.4f}")
 

@@ -8,7 +8,8 @@ lower envelope.
 
 Constants here are existential in the underlying estimates; the laboratory
 fits minimal constants empirically and asserts their stability, never a
-specific value.
+specific value.  Fixed grids: `_N_BETA` x `_N_GAMMA` points for `m_delta`,
+`_N_Z` points of z in [0, `_Z_MAX`] for `series_bound_L`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ SUPPORT_FLOOR = 1e-10
 #: ratio region is restricted harder than the envelope fits
 I_RATIO_FLOOR = 1e-8
 
+_N_BETA, _N_GAMMA = 129, 513  # beta and gamma grid sizes of the m_delta scan
+_Z_MAX, _N_Z = 50.0, 161  # z range and grid size series_bound_L fits on
+
 
 def beta_fn(beta: float, gamma: float) -> float:
     """Beta function via the log-Gamma identity."""
@@ -69,20 +73,19 @@ def beta_fn_quadrature(beta: float, gamma: float) -> float:
     return float(val)
 
 
-def m_delta(delta: float, gamma_max: float | None = None,
-            n_beta: int = 129, n_gamma: int = 513) -> float:
+def m_delta(delta: float, gamma_max: float | None = None) -> float:
     """sup of B(beta, gamma) * gamma^beta over [delta,1] x [delta, inf).
 
     The sup over the unbounded gamma direction tends to Gamma(beta); the
-    numeric sup runs gamma up to gamma_max (default 64/delta) and is compared
-    against that tail limit.
+    numeric sup runs over `_N_BETA` x `_N_GAMMA` grid points with gamma up to
+    gamma_max (default 64/delta) and is compared against that tail limit.
     """
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if gamma_max is None:
         gamma_max = 64.0 / delta
-    betas = np.linspace(delta, 1.0, n_beta)
-    gammas = np.geomspace(delta, gamma_max, n_gamma)
+    betas = np.linspace(delta, 1.0, _N_BETA)
+    gammas = np.geomspace(delta, gamma_max, _N_GAMMA)
     B, G = np.meshgrid(betas, gammas, indexing="ij")
     vals = np.exp(gammaln(B) + gammaln(G) - gammaln(B + G) + B * np.log(G))
     tail = float(np.exp(gammaln(betas)).max())
@@ -134,15 +137,15 @@ def series_partial(z: float, beta: float, K: int):
     return value, rem
 
 
-def series_bound_L(beta: float, z_max: float = 50.0, n_z: int = 161) -> float:
+def series_bound_L(beta: float) -> float:
     """Smallest grid constant L with sum_k z^k/(k!)^beta <= L*exp(L*z^{1/beta}).
 
-    Found by bisection per z over a log-spaced z grid, then verified on the
-    full grid.
+    Found by bisection per z over 0 and a log-spaced grid up to `_Z_MAX`
+    (`_N_Z` points in all), then verified on the full grid.
     """
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    zs = np.concatenate([[0.0], np.geomspace(1e-3, z_max, n_z - 1)])
+    zs = np.concatenate([[0.0], np.geomspace(1e-3, _Z_MAX, _N_Z - 1)])
     L_req = 1.0
     for z in zs:
         logS = _log_series(float(z), beta)
@@ -189,31 +192,46 @@ def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
     return total
 
 
-def _ratio_stacks(b: DriftField, t: float, k: int, y_points, pc: g.GridField,
-                  m: int, cache: dict | None) -> list:
-    """Per source y: (node times s, [A_0, A_1, A_2]), where A_j is the per-node
-    sum of masked sup ratios of the order-j derivatives of P_{t-s} Psi^{y,k}_s
-    to the envelope pc = p(ct, .) centred at y.
+def _families(b: DriftField, t: float, y: float, m: int):
+    """Psi^{y,1}, Psi^{y,2}, ... as (node times, spectra) from the engine, each
+    built once from the one before, with the Richardson check on its step."""
+    spec = b.spec
+    s, bs, _, psi_hat = _first_family(b, t, y, m)
+    while True:
+        yield s, psi_hat
+        G = g.ifft(spec, _trapezoid(spec, psi_hat, s))
+        _richardson_gap(*_richardson_mismatch(spec, psi_hat, s, G[-1]))
+        psi_hat = _neg_div_hat(spec, bs, G)
 
-    d=1 only and k <= 4 (cost guard).  Default sources: four points a quarter
-    box apart.
+
+def _ratio_stacks(b: DriftField, t: float, k_max: int, y_points, pc: g.GridField,
+                  m: int):
+    """For k = 1..k_max, the list over sources y of (node times s, [A_0, A_1,
+    A_2]), where A_j is the per-node sum of masked sup ratios of the order-j
+    derivatives of P_{t-s} Psi^{y,k}_s to the envelope pc = p(ct, .) centred
+    at y.  Every source walks its families once.
+
+    d=1 only and k_max <= 4 (cost guard).  Default sources: four points a
+    quarter box apart.
     """
     spec = b.spec
     if spec.d != 1:
         raise ValueError("i_empirical is d=1 only")
-    if k > 4:
+    if k_max > 4:
         raise ValueError("k <= 4 (cost guard)")
     if y_points is None:
         y_points = spec.axis_points()[:: spec.n // 4][:4]
-    stacks = []
-    for y in np.atleast_1d(y_points):
-        s, psi_hat = _family_for(b, t, float(y), k, m, cache)
-        pc_y = np.roll(pc.values, int(round((y - 0.0) / spec.h)))
-        mask = pc_y > I_RATIO_FLOOR * pc_y.max()
-        u_hat = g.heat_multiplier(spec, t - s) * psi_hat
-        stacks.append((s, [_sup_ratio_norms(spec, u_hat, pc_y, mask, order)
-                           for order in (0, 1, 2)]))
-    return stacks
+    walks = [(float(y), _families(b, t, float(y), m)) for y in np.atleast_1d(y_points)]
+    for _ in range(k_max):
+        stacks = []
+        for y, walk in walks:
+            s, psi_hat = next(walk)
+            pc_y = np.roll(pc.values, int(round(y / spec.h)))
+            mask = pc_y > I_RATIO_FLOOR * pc_y.max()
+            u_hat = g.heat_multiplier(spec, t - s) * psi_hat
+            stacks.append((s, [_sup_ratio_norms(spec, u_hat, pc_y, mask, order)
+                               for order in (0, 1, 2)]))
+        yield stacks
 
 
 def _i_entry(stacks: list, i: int, beta_sel: float) -> float:
@@ -226,8 +244,7 @@ def _i_entry(stacks: list, i: int, beta_sel: float) -> float:
 
 
 def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
-                y_points=None, c: float = 2.0, m: int = 96,
-                K_cache: dict | None = None) -> float:
+                y_points=None, c: float = 2.0, m: int = 96) -> float:
     """Empirical I^beta_{i,k}(t): sup over a source subgrid of the time
     integral of the (1-beta, beta)-weighted sup-ratio product.
 
@@ -236,25 +253,8 @@ def i_empirical(b: DriftField, t: float, k: int, i: int, beta_sel: float,
     """
     if i not in (0, 1):
         raise ValueError("i must be 0 or 1")
-    stacks = _ratio_stacks(b, t, k, y_points, g.gaussian(b.spec, c * t), m, K_cache)
+    *_, stacks = _ratio_stacks(b, t, k, y_points, g.gaussian(b.spec, c * t), m)
     return _i_entry(stacks, i, beta_sel)
-
-
-def _family_for(b, t, y, k, m, cache):
-    """(node times, Psi^{y,k} spectra) from the engine, reusing cached k-1."""
-    key = (t, y, k, m)
-    if cache is not None and key in cache:
-        return cache[key]
-    if k == 1:
-        s, _, _, psi_hat = _first_family(b, t, y, m)
-    else:
-        s, psi_hat = _family_for(b, t, y, k - 1, m, cache)
-        G = g.ifft(b.spec, _trapezoid(b.spec, psi_hat, s))
-        _richardson_gap(*_richardson_mismatch(b.spec, psi_hat, s, G[-1]))
-        psi_hat = _neg_div_hat(b.spec, b.at_time(s), G)
-    if cache is not None:
-        cache[key] = (s, psi_hat)
-    return s, psi_hat
 
 
 def i_rhs(k: int, i: int, beta_sel: float, t: float, X: float, Y: float,
@@ -290,18 +290,16 @@ def ibound_table(b: DriftField, t_values, k_max: int = 3, c: float = 2.0,
 
     M is pinned to 8 * M_{1/2 - alpha} (the natural choice from the beta
     function lemma), C to 1; K is fitted as the smallest value making every
-    empirical entry dominated.
+    empirical entry dominated.  Each (t, source) walks k = 1..k_max once.
     """
     alpha = b.alpha
     X, Y = drift_norms(b)
     M = 8.0 * m_delta(0.5 - alpha)
     C = 1.0
-    cache: dict = {}
     raw = []
     for t in np.atleast_1d(t_values):
         pc = g.gaussian(b.spec, c * float(t))
-        for k in range(1, k_max + 1):
-            stacks = _ratio_stacks(b, float(t), k, y_points, pc, m, cache)
+        for k, stacks in enumerate(_ratio_stacks(b, float(t), k_max, y_points, pc, m), 1):
             for i in (0, 1):
                 for beta_sel in (0.0, alpha):
                     emp = _i_entry(stacks, i, beta_sel)
@@ -359,22 +357,21 @@ class EnvelopeReport:
 
 
 def _ratio_extremes(spec: g.GridSpec, M: np.ndarray, src_idx: np.ndarray,
-                    p_env: np.ndarray, floor_rel: float | None = None):
+                    p_env: np.ndarray):
     """(sup, inf) of M[i,j] / p_env(x_j - y_i) over the resolved region.
 
-    The region keeps envelope values above floor_rel times the envelope peak.
-    The default floor adapts to the kernel's own noise level (measured from
-    its negative overshoot): beyond it the ratio reads truncation/aliasing
-    noise instead of the envelope constant.  The inf is read on max(M, 0), so
-    a negative overshoot gives 0, never a negative lower constant.
+    The region keeps envelope values above max(SUPPORT_FLOOR, 50 x the
+    kernel's relative negative overshoot) times the envelope peak: beyond it
+    the ratio reads truncation/aliasing noise instead of the envelope constant.
+    The inf is read on max(M, 0), so a negative overshoot gives 0, never a
+    negative lower constant.
     """
     n = spec.n
     i0 = n // 2
     idx = (np.arange(n)[None, :] - src_idx[:, None] + i0) % n
     P = p_env[idx]
-    if floor_rel is None:
-        noise = max(0.0, float(-M.min())) / float(M.max())
-        floor_rel = max(SUPPORT_FLOOR, 50.0 * noise)
+    noise = max(0.0, float(-M.min())) / float(M.max())
+    floor_rel = max(SUPPORT_FLOOR, 50.0 * noise)
     mask = P > floor_rel * p_env.max()
     ratios = M[mask] / P[mask]
     return float(ratios.max()), max(float(ratios.min()), 0.0)
@@ -460,7 +457,8 @@ def bootstrap_lower_bound(b: DriftField, a: float, kappa: float, K_max: int = 12
     t = a/2 and a, then for each check time t = 1.5a, 2a, 3a, 4a composes the
     kernel at t/n (n = ceil(t/a)) with itself n times and checks the composed
     kernel dominates M^{-1-t/a} p(kappa t, .).  One kernel matrix is built per
-    distinct step time; ratios are read down to SUPPORT_FLOOR.
+    distinct step time; ratios are read above the kernel's noise floor, as in
+    `fit_envelope`.
     Time-homogeneous drifts only (composition reuses one matrix).
     """
     spec = b.spec
@@ -476,8 +474,7 @@ def bootstrap_lower_bound(b: DriftField, a: float, kappa: float, K_max: int = 12
         for _ in range(n_comp - 1):
             composed = spec.h * (composed @ M_step)
         p_lo = g.gaussian(spec, kappa * t).values
-        inf_rs.append(_ratio_extremes(spec, composed, np.arange(spec.n), p_lo,
-                                      floor_rel=SUPPORT_FLOOR)[1])
+        inf_rs.append(_ratio_extremes(spec, composed, np.arange(spec.n), p_lo)[1])
     Minv = min(inf_rs[:2])
     if Minv <= 0:
         raise EnvelopeViolated(f"no positive lower constant at kappa={kappa}")

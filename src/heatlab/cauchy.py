@@ -13,7 +13,9 @@ slab; one application `theta_apply` adds to it the Duhamel integral of
 -div(b v), formed on the spectral engine shared with `parametrix` (drift
 lookup, -div(b v) spectrum, exponential trapezoid) for every node at once,
 with one inverse transform back to physical space.  The calibration and every
-segment run the same Picard iterate sequence.
+segment run the same Picard iterate sequence.  Fixed: target regularity
+`_BETA`, `_M` quadrature intervals per slab, at most `_MAX_ITER` iterations
+per segment, no slab shorter than `_MIN_DT`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ __all__ = [
     "weighted_norm",
     "gamma_via_cauchy",
 ]
+
+_BETA = 1.6  # target regularity of the plan, in (1 + alpha, 2 - alpha)
+_M = 96  # quadrature intervals per slab
+_MIN_DT = 1e-4  # a shorter contraction horizon raises HorizonTooSmall
+#: Picard iterations per segment.  report["factor"] is the calibrated estimate
+#: of the contraction rate, not a bound on it: constant drift at amplitude 4
+#: (n=128, L=8*pi, phi = p(0.05, .), T=1, tol=1e-9) reports 0.497 yet needs 46
+#: and 32 iterations, so it raises NoConvergence
+_MAX_ITER = 40
 
 
 @dataclass
@@ -82,13 +93,12 @@ def theta_apply(base: TimeField, b: DriftField, v: TimeField,
 
 
 def step_horizon(X: float, Y: float, alpha: float, beta: float,
-                 c_fit: float = 1.0, T: float = 1.0,
-                 min_dt: float = 1e-4) -> ContractionPlan:
+                 c_fit: float = 1.0, T: float = 1.0) -> ContractionPlan:
     """Largest slab length with c_fit * t0^{1-(alpha+beta)/2} * (X+Y) <= 1/2.
 
     X and Y are the drift's controlling norms; beta is the target regularity,
     constrained to (1+alpha, 2-alpha).  Segments tile [0, T] equally with
-    length <= t0.
+    length <= t0; t0 below `_MIN_DT` raises HorizonTooSmall.
     """
     if not 0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 1/2), got {alpha}")
@@ -99,9 +109,9 @@ def step_horizon(X: float, Y: float, alpha: float, beta: float,
     if strength <= 0:
         return ContractionPlan(t0=T, factor=0.0, segments=((0.0, T),))
     t0 = min(T, (0.5 / (c_fit * strength)) ** (1.0 / expo))
-    if t0 < min_dt:
+    if t0 < _MIN_DT:
         raise HorizonTooSmall(
-            f"contraction horizon {t0:.3g} below one time step {min_dt:.3g}"
+            f"contraction horizon {t0:.3g} below one time step {_MIN_DT:.3g}"
         )
     nseg = max(1, ceil(T / t0 - 1e-12))
     edges = np.linspace(0.0, T, nseg + 1)
@@ -123,12 +133,12 @@ def weighted_norm(v: TimeField, delta: float, idx: BesovIndex) -> float:
 
 
 def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, seg_len: float,
-              m: int, offset: float = 0.0):
+              offset: float = 0.0):
     """Picard iterates on one slab from v_0 = P_s data, with their sup changes.
 
     The heat base is built once; each step yields (v_k, sup |v_k - v_{k-1}|).
     """
-    times = time_nodes(seg_len, m)
+    times = time_nodes(seg_len, _M)
     base = TimeField(spec, times, _heat_stack(spec, g.fft(spec, data), times))
     v = base
     while True:
@@ -137,8 +147,8 @@ def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, seg_len: float,
         v = nxt
 
 
-def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
-                 max_iter: int = 40, beta: float = 1.6, m: int = 96) -> TimeField:
+def picard_solve(phi: g.GridField, b: DriftField, T: float,
+                 tol: float = 1e-8) -> TimeField:
     """Iterate the Duhamel map to its fixed point over contraction segments.
 
     The contraction constant is calibrated from the first two iterate ratios
@@ -146,47 +156,47 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
     moderate drift); the plan is re-derived with the measured constant and the
     slab is halved until the measured factor is <= 1/2.  Segments restart with
     the previous terminal slice as new data.  Raises NoConvergence if a
-    segment hits max_iter with residual above tol, and the series' ValueError
-    or WraparoundRisk for a horizon T it would refuse.
+    segment hits `_MAX_ITER` iterations with residual above tol, and the
+    series' ValueError or WraparoundRisk for a horizon T it would refuse.
 
     X+Y only selects the zero-drift branch and fills report["X"]/["Y"]: the
     calibrated c_fit * (X+Y) = rho / trial^expo, so slab length and `factor`
-    do not depend on it.  report["calibration"] holds the trial slab and its
-    measured ratio rho (None for zero drift).
+    do not depend on it; `factor` is an estimate, not a bound (`_MAX_ITER`).
+    report["calibration"] holds the trial slab and its measured ratio rho
+    (None for zero drift).
     """
     _check_horizon(b, T)
     spec = phi.spec
     alpha = b.alpha
     X, Y = drift_norms(b)
-    expo = 1.0 - (alpha + beta) / 2.0
+    expo = 1.0 - (alpha + _BETA) / 2.0
     strength = X + Y
 
     # calibrate the contraction constant on a trial slab
     calibration = None
+    c_fit = 1.0
     if strength > 0:
         trial = min(T, 0.5)
         while True:
-            d1, d2 = (res for _, res in islice(_iterates(spec, phi.values, b, trial, m), 2))
+            d1, d2 = (res for _, res in islice(_iterates(spec, phi.values, b, trial), 2))
             rho = d2 / d1 if d1 > 0 else 0.0
             if rho < 0.5 or trial < 1e-3:
                 break
             trial /= 2.0
         calibration = {"trial": trial, "rho": rho}
         c_fit = max(rho, 1e-12) / (trial**expo * strength)
-        plan = step_horizon(X, Y, alpha, beta, c_fit=c_fit, T=T)
-    else:
-        plan = step_horizon(X, Y, alpha, beta, T=T)
+    plan = step_horizon(X, Y, alpha, _BETA, c_fit=c_fit, T=T)
 
     all_times = [np.array([0.0])]
     all_vals = [phi.values[None]]
     data = phi.values
     iters = []
     for (a, bnd) in plan.segments:
-        for it, (v, res) in enumerate(_iterates(spec, data, b, bnd - a, m, offset=a), 1):
+        for it, (v, res) in enumerate(_iterates(spec, data, b, bnd - a, offset=a), 1):
             if res <= tol:
                 break
-            if it >= max_iter:
-                raise NoConvergence(f"segment at offset {a:g} hit max_iter={max_iter} "
+            if it >= _MAX_ITER:
+                raise NoConvergence(f"segment at offset {a:g} hit max_iter={_MAX_ITER} "
                                     f"with residual {res:.3e}")
         iters.append(it)
         all_times.append(a + v.times[1:])
@@ -205,9 +215,7 @@ def picard_solve(phi: g.GridField, b: DriftField, T: float, tol: float = 1e-8,
     return full
 
 
-def gamma_via_cauchy(b: DriftField, t: float, y, eps: float | None = None,
-                     tol: float = 1e-8, max_iter: int = 40, beta: float = 1.6,
-                     m: int = 96) -> g.GridField:
+def gamma_via_cauchy(b: DriftField, t: float, y, eps: float | None = None) -> g.GridField:
     """Kernel from source y via the fixed point with mollified point data.
 
     The point source is replaced by p(eps, . - y); the result carries an O(eps)
@@ -219,5 +227,5 @@ def gamma_via_cauchy(b: DriftField, t: float, y, eps: float | None = None,
     if eps < spec.h**2:
         raise ValueError(f"eps={eps} below grid resolution floor h^2={spec.h ** 2}")
     phi = g.gaussian_shifted(spec, eps, y)
-    v = picard_solve(phi, b, T=t, tol=tol, max_iter=max_iter, beta=beta, m=m)
+    v = picard_solve(phi, b, T=t)
     return v.terminal()

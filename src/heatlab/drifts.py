@@ -1,5 +1,6 @@
 """Drift presets spanning the norm regimes (low-block only, high-block only,
-mixed, and time-varying)."""
+mixed, and time-varying).  Fixed: `_N_SLICES` time intervals per horizon,
+`_MODES_PER_BLOCK` cosines per multi-mode block, the `_REFRESH` period."""
 
 from __future__ import annotations
 
@@ -12,6 +13,10 @@ from .dyadic import DriftField, build_partition
 
 __all__ = ["zero_drift", "constant_drift", "single_mode_drift",
            "multi_mode_drift", "time_varying_drift", "make_preset"]
+
+_N_SLICES = 1024  # time intervals of the time-dependent presets over [0, horizon]
+_MODES_PER_BLOCK = 2  # cosines per dyadic block of the multi-mode preset
+_REFRESH = 0.0625  # phase refresh period of the refreshing mode
 
 
 def _grid_frequency(spec: g.GridSpec, target: float) -> float:
@@ -59,11 +64,10 @@ def single_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
 
 
 def multi_mode_drift(spec: g.GridSpec, amplitude: float = 1.0, alpha: float = 0.25,
-                     seed: int = 7, modes_per_block: int = 2,
-                     i_max: int | None = None) -> DriftField:
+                     seed: int = 7, i_max: int | None = None) -> DriftField:
     """Random Fourier sum with per-block amplitude decay 2^{-alpha*i}.
 
-    Seeded; each active block i in 1..i_max contributes `modes_per_block`
+    Seeded; each active block i in 1..i_max contributes `_MODES_PER_BLOCK`
     cosines at exact grid frequencies inside the block.
     """
     part = build_partition(spec)
@@ -79,7 +83,7 @@ def multi_mode_drift(spec: g.GridSpec, amplitude: float = 1.0, alpha: float = 0.
         ks = ks[(ks > 0) & (ks < spec.n // 2)]
         if len(ks) == 0:
             continue
-        pick = rng.choice(ks, size=min(modes_per_block, len(ks)), replace=False)
+        pick = rng.choice(ks, size=min(_MODES_PER_BLOCK, len(ks)), replace=False)
         for k in pick:
             phase = rng.uniform(0, 2 * np.pi)
             prof += 2.0 ** (-alpha * i) * np.cos(2 * np.pi * k / spec.L * x1 + phase)
@@ -88,27 +92,22 @@ def multi_mode_drift(spec: g.GridSpec, amplitude: float = 1.0, alpha: float = 0.
 
 
 def time_varying_drift(spec: g.GridSpec, horizon: float = 1.0, amplitude: float = 1.0,
-                       xi0: float | None = None, alpha: float = 0.25,
-                       n_slices: int = 1024, omega: float = 1.0,
-                       phase: float = 0.0) -> DriftField:
-    """b(t, x) = A sin(omega*t + phase) cos(xi0 * x1); densely sampled in time.
+                       xi0: float | None = None, alpha: float = 0.25) -> DriftField:
+    """b(t, x) = A sin(t) cos(xi0 * x1); densely sampled in time.
 
     Dense sampling keeps the nearest-sample time quantization well below the
-    spatial quadrature error.  Fast modulation (omega >> 1) suppresses the
-    drift's coherent transport, which isolates the quadratic response of the
-    envelope constants.
+    spatial quadrature error.
     """
     xi0 = _grid_frequency(spec, 1.0 if xi0 is None else xi0)
     prof = amplitude * np.cos(xi0 * spec.axis_points())
-    times = np.linspace(0.0, horizon, n_slices + 1)
-    return _from_profile(spec, times, np.sin(omega * times + phase)[:, None] * prof,
+    times = np.linspace(0.0, horizon, _N_SLICES + 1)
+    return _from_profile(spec, times, np.sin(times)[:, None] * prof,
                          alpha, f"time-varying(xi0={xi0:g})")
 
 
 def traveling_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
                          alpha: float = 0.25, xi0: float | None = None,
-                         speed: float | None = None, horizon: float = 1.0,
-                         n_slices: int = 1024) -> DriftField:
+                         speed: float | None = None, horizon: float = 1.0) -> DriftField:
     """Traveling wave b(t, x) = A cos(xi0 (x - v t)); Y-only at every slice.
 
     With speed proportional to amplitude, trapped mass surfs the wave and the
@@ -119,7 +118,7 @@ def traveling_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
     xi0 = _grid_frequency(spec, 1.5 if xi0 is None else xi0)
     if speed is None:
         speed = 0.4 * amplitude
-    times = np.linspace(0.0, horizon, n_slices + 1)
+    times = np.linspace(0.0, horizon, _N_SLICES + 1)
     prof = amplitude * np.cos(xi0 * (spec.axis_points() - speed * times[:, None]))
     return _from_profile(spec, times, prof, alpha,
                          f"traveling-mode(xi0={xi0:g},v={speed:g})")
@@ -127,9 +126,8 @@ def traveling_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
 
 def refreshing_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
                           alpha: float = 0.25, xi0: float | None = None,
-                          refresh: float = 0.0625, horizon: float = 1.0,
-                          seed: int = 7, n_slices: int = 1024) -> DriftField:
-    """Single high-frequency mode whose phase re-randomizes every `refresh`.
+                          horizon: float = 1.0, seed: int = 7) -> DriftField:
+    """Single high-frequency mode whose phase re-randomizes every `_REFRESH`.
 
     Y-only like the static single mode, but the periodic phase refresh keeps
     pumping the kernel instead of homogenizing away, so the envelope
@@ -141,13 +139,13 @@ def refreshing_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
     else:
         xi0 = _grid_frequency(spec, xi0)
     rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, horizon, n_slices + 1)
-    n_intervals = int(np.ceil(horizon / refresh)) + 1
+    times = np.linspace(0.0, horizon, _N_SLICES + 1)
+    n_intervals = int(np.ceil(horizon / _REFRESH)) + 1
     phases = rng.uniform(0, 2 * np.pi, n_intervals)
-    slot = np.minimum((times / refresh).astype(int), n_intervals - 1)
+    slot = np.minimum((times / _REFRESH).astype(int), n_intervals - 1)
     prof = amplitude * np.cos(xi0 * spec.axis_points() + phases[slot][:, None])
     return _from_profile(spec, times, prof, alpha,
-                         f"refreshing-mode(xi0={xi0:g},refresh={refresh:g})")
+                         f"refreshing-mode(xi0={xi0:g},refresh={_REFRESH:g})")
 
 
 _PRESETS = {

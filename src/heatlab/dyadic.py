@@ -8,7 +8,8 @@ over all blocks is exact, not truncated.
 
 Besov norms weight block i>=0 by 2^{is}; the low block carries weight 1 so the
 scale is monotone in s (the standard 2^{-s} low-block weight is equivalent up
-to constants but not monotone).
+to constants but not monotone).  Blocks, Besov norms, drift norms and
+mollification all take the partition from `build_partition`'s per-spec cache.
 """
 
 from __future__ import annotations
@@ -112,16 +113,14 @@ def build_partition(spec: g.GridSpec) -> DyadicPartition:
     return DyadicPartition(spec=spec, j_max=j_max, rho=tuple(rho))
 
 
-def block_values(spec: g.GridSpec, values: np.ndarray, i,
-                 partition: DyadicPartition | None = None) -> np.ndarray:
+def block_values(spec: g.GridSpec, values: np.ndarray, i) -> np.ndarray:
     """Littlewood-Paley block of a raw value array (supports leading axes)."""
-    part = partition or build_partition(spec)
-    return g.ifft(spec, part.multiplier(i) * g.fft(spec, values))
+    return g.ifft(spec, build_partition(spec).multiplier(i) * g.fft(spec, values))
 
 
-def block(f: g.GridField, i, partition: DyadicPartition | None = None) -> g.GridField:
+def block(f: g.GridField, i) -> g.GridField:
     """Block Delta_i f via the frequency multiplier rho_i; i=GEQ0 sums i>=0."""
-    return g.GridField(f.spec, block_values(f.spec, f.values, i, partition))
+    return g.GridField(f.spec, block_values(f.spec, f.values, i))
 
 
 def _weight(i: int, s: float) -> float:
@@ -129,9 +128,8 @@ def _weight(i: int, s: float) -> float:
     return 2.0 ** (max(i, 0) * s)
 
 
-def besov_norm_values(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex,
-                      partition: DyadicPartition | None = None) -> float:
-    part = partition or build_partition(spec)
+def besov_norm_values(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex) -> float:
+    part = build_partition(spec)
     fhat = g.fft(spec, values)
     per_block = []
     for i in part.indices:
@@ -143,10 +141,9 @@ def besov_norm_values(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex,
     return float((per_block**idx.q).sum() ** (1.0 / idx.q))
 
 
-def besov_norm(f: g.GridField, idx: BesovIndex,
-               partition: DyadicPartition | None = None) -> float:
+def besov_norm(f: g.GridField, idx: BesovIndex) -> float:
     """l^q over blocks of 2^{is} ||Delta_i f||_{L^p}."""
-    return besov_norm_values(f.spec, f.values, idx, partition)
+    return besov_norm_values(f.spec, f.values, idx)
 
 
 @dataclass
@@ -210,7 +207,7 @@ class DriftField:
         )
 
 
-def drift_norms(b: DriftField, partition: DyadicPartition | None = None):
+def drift_norms(b: DriftField):
     """Controlling norms (X, Y) of a drift.
 
     X = max over time samples of ||Delta_{-1} b||_inf, Y = max over samples of
@@ -219,7 +216,7 @@ def drift_norms(b: DriftField, partition: DyadicPartition | None = None):
     at once, with the same arithmetic as `block_values` and
     `besov_norm_values` per sample.
     """
-    part = partition or build_partition(b.spec)
+    part = build_partition(b.spec)
     spec = b.spec
     space = tuple(range(-spec.d, 0))
     weights = [_weight(i, -b.alpha) for i in part.indices]
@@ -237,12 +234,11 @@ def drift_norms(b: DriftField, partition: DyadicPartition | None = None):
     return X, Y
 
 
-def mollify_drift(b: DriftField, n: int,
-                  partition: DyadicPartition | None = None) -> DriftField:
+def mollify_drift(b: DriftField, n: int) -> DriftField:
     """Smoothed drift keeping blocks 1..n only (blocks -1, 0 and >n dropped)."""
     if n < 1:
         raise ValueError(f"mollification level must be >= 1, got {n}")
-    part = partition or build_partition(b.spec)
+    part = build_partition(b.spec)
     mult = sum(part.multiplier(i) for i in range(1, min(n, part.j_max) + 1))
     out = g.ifft(b.spec, mult * g.fft(b.spec, b.values))
     return DriftField(b.spec, b.times.copy(), out, b.alpha, tag=f"{b.tag}^({n})")

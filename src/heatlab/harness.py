@@ -128,10 +128,9 @@ class ExperimentConfig:
     def spec(self) -> grid.GridSpec:
         return grid.make_grid(self["grid.d"], self["grid.n"], self["grid.L"])
 
-    def drift(self, preset=None, amplitude=None) -> dyadic.DriftField:
+    def drift(self) -> dyadic.DriftField:
         return drifts.make_preset(
-            preset or self["drift.preset"], self.spec(),
-            amplitude=amplitude if amplitude is not None else self["drift.amplitude"],
+            self["drift.preset"], self.spec(), amplitude=self["drift.amplitude"],
             alpha=self["drift.alpha"], seed=self["drift.seed"],
             horizon=max(self.floats("times")), xi0=self.get("drift.xi0"),
         )
@@ -201,7 +200,7 @@ def _cmd_besov_check(config):
         delta = grid.discrete_delta(sp)
         iis, vals = [], []
         for i in range(0, pt.j_max - 1):
-            v = grid.lp_norm(dyadic.block(delta, i, pt), np.inf)
+            v = grid.lp_norm(dyadic.block(delta, i), np.inf)
             if v > 0:
                 iis.append(i)
                 vals.append(np.log2(v))

@@ -7,7 +7,8 @@ schedule.  Derived statistics: kernel density estimates on the grid (the KDE
 of box-wrapped samples estimates exactly the periodized transition density),
 escape probabilities with Wilson intervals, and the path-modulus machinery
 (double-integral functional, modulus inequality checks, exponential
-sup-moments).
+sup-moments).  Fixed: `simulate` refines drift slices by `_UPSAMPLE`, and
+the reflection oracle sums `_IMAGE_TERMS` images on each side.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ __all__ = [
     "pair_sup_ratio",
     "exp_sup_moment",
 ]
+
+_UPSAMPLE = 16  # spectral refinement of the drift table
+_IMAGE_TERMS = 64  # image-series half-width of the reflection oracle
 
 
 # -- counter-based randomness --------------------------------------------------
@@ -74,7 +78,7 @@ def _spectral_upsample(spec: g.GridSpec, vals: np.ndarray, up: int) -> np.ndarra
 class _DriftInterp:
     """Periodic trigonometric interpolation of drift slices.
 
-    Fields are spectrally refined by `up` and then read with linear weights.
+    Fields are spectrally refined by `_UPSAMPLE` and then read with linear weights.
     The refined slice is padded by 2 wrap entries per axis, so the gather
     needs no integer modulo (a position that rounds to exactly L reads
     entries nf and nf+1).  Only the slice of the current time index is kept:
@@ -82,17 +86,16 @@ class _DriftInterp:
     works in place: fewer live temporaries stop malloc re-faulting the heap.
     """
 
-    def __init__(self, b: DriftField, up: int = 16):
+    def __init__(self, b: DriftField):
         self.b = b
         self.spec = b.spec
-        self.up = up
-        self.nf = b.spec.n * up
+        self.nf = b.spec.n * _UPSAMPLE
         self.hf = b.spec.L / self.nf
         self._cache: tuple = (None, None)
 
     def _fine(self, t_idx: int) -> np.ndarray:
         if self._cache[0] != t_idx:
-            fine = np.stack([_spectral_upsample(self.spec, v, self.up)
+            fine = np.stack([_spectral_upsample(self.spec, v, _UPSAMPLE)
                              for v in self.b.values[t_idx]])
             self._cache = (t_idx, np.pad(fine, [(0, 0)] + [(0, 2)] * self.spec.d,
                                          mode="wrap"))
@@ -163,8 +166,7 @@ class Ensemble:
 
 
 def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
-             snapshot_times=None, keep_paths: int = 0, chunk: int = 1 << 20,
-             upsample: int = 16) -> Ensemble:
+             snapshot_times=None, keep_paths: int = 0, chunk: int = 1 << 20) -> Ensemble:
     """Euler-Maruyama ensemble under a grid-sampled drift.
 
     Paths are unwrapped (positions live on the line/plane); the drift is read
@@ -185,7 +187,7 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     if snapshot_times is None:
         snapshot_times = [T]
     snap_steps = {int(round(t / h_t)): float(t) for t in snapshot_times}
-    interp = _DriftInterp(b_smooth, up=upsample)
+    interp = _DriftInterp(b_smooth)
     keep_paths = min(keep_paths, N)
 
     X = np.tile(x0, (N, 1))
@@ -216,7 +218,7 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
         snapshot_times=np.asarray(sorted(snapshots)), snapshots=snapshots,
         sup_dev=sup_dev, kept_paths=kept,
         kept_times=h_t * np.arange(n_steps + 1),
-        meta={"n_steps": n_steps, "upsample": upsample},
+        meta={"n_steps": n_steps, "upsample": _UPSAMPLE},
     )
 
 
@@ -273,13 +275,13 @@ def escape_prob(e: Ensemble, K: float):
     return p_hat, (max(0.0, center - half), min(1.0, center + half))
 
 
-def reflection_escape_oracle(K: float, T: float, terms: int = 64) -> float:
+def reflection_escape_oracle(K: float, T: float) -> float:
     """P(sup_{[0,T]} |B| >= K) for a standard Brownian motion (image series)."""
     if K <= 0:
         return 1.0
     a = K / np.sqrt(T)
     inside = 0.0
-    for k in range(-terms, terms + 1):
+    for k in range(-_IMAGE_TERMS, _IMAGE_TERMS + 1):
         inside += (-1) ** k * (ndtr((2 * k + 1) * a) - ndtr((2 * k - 1) * a))
     return float(min(1.0, max(0.0, 1.0 - inside)))
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,19 +166,17 @@ class ParametrixResult:
     y: np.ndarray
     K_used: int
     gamma: g.GridField
-    grad_gamma: tuple
     term_fields: np.ndarray  # (K_used, *shape)
     term_sup_norms: np.ndarray
     tail_estimate: float
     quad_gap: float
-    gamma_hat: np.ndarray = field(repr=False, default=None)
 
 
 def _block_terms(b: DriftField, t: float, y: np.ndarray, m: int):
     """Series terms for one block of sources, one per resumption.
 
     Yields (term, max|coarse - fine|, max|fine|) for each term; send True to
-    compute the next term, False to get the final (gamma_hat, gamma, grads).
+    compute the next term, False to get the final gamma.
     """
     spec = b.spec
     s, bs, dhat, psi_hat = _first_family(b, t, y, m)
@@ -194,9 +192,7 @@ def _block_terms(b: DriftField, t: float, y: np.ndarray, m: int):
         G = g.ifft(spec, G_hat)
         del G_hat
         psi_hat = _neg_div_hat(spec, bs, G)
-    comps = g.freq_components(spec)
-    yield (gamma_hat, g.ifft(spec, gamma_hat),
-           [g.ifft(spec, (1j * comps[c]) * gamma_hat) for c in range(spec.d)])
+    yield g.ifft(spec, gamma_hat)
 
 
 def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
@@ -249,19 +245,13 @@ def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
     tail = float(sups_arr[-1] * ratio / (1.0 - ratio)) if 0 < ratio < 1 else float(sups_arr[-1])
     if sups_arr[-1] <= tol * sup_p:
         tail = float(sups_arr[-1])
-    gamma_hat, gamma_vals = (np.concatenate([f[i] for f in finals]) for i in (0, 1))
-    grads = tuple(np.concatenate([f[2][c] for f in finals]) for c in range(spec.d))
-    if y.ndim == 2:
-        gamma_field = gamma_vals  # raw array; batch results are consumed internally
-        grad_fields = grads
-    else:
-        gamma_field = g.GridField(spec, gamma_vals)
-        grad_fields = tuple(g.GridField(spec, gr) for gr in grads)
+    gamma_vals = np.concatenate(finals)
+    # a batch returns the raw array; batch results are consumed internally
+    gamma_field = gamma_vals if y.ndim == 2 else g.GridField(spec, gamma_vals)
     return ParametrixResult(
         spec=spec, t=t, y=y, K_used=k, gamma=gamma_field,
-        grad_gamma=grad_fields, term_fields=np.asarray(terms),
-        term_sup_norms=sups_arr, tail_estimate=tail + quad_gap * max(sups_arr.max(), 1e-300),
-        quad_gap=quad_gap, gamma_hat=gamma_hat,
+        term_fields=np.asarray(terms), term_sup_norms=sups_arr,
+        tail_estimate=tail + quad_gap * max(sups_arr.max(), 1e-300), quad_gap=quad_gap,
     )
 
 

@@ -99,11 +99,10 @@ def test_c07_dirac_besov_scaling():
     slopes = {}
     for d, n, L in ((1, 1024, 20.0), (2, 256, 20.0)):
         sp = g.make_grid(d, n, L)
-        part = dy.build_partition(sp)
         i_hi = int(np.floor(np.log2(3 * (np.pi * n / L) / 8)))
         delta = g.discrete_delta(sp)
         iis = np.arange(0, i_hi + 1)
-        vals = [np.log2(g.lp_norm(dy.block(delta, int(i), part), np.inf)) for i in iis]
+        vals = [np.log2(g.lp_norm(dy.block(delta, int(i)), np.inf)) for i in iis]
         slopes[d] = float(np.polyfit(iis, vals, 1)[0])
     ok = all(abs(slopes[d] - d) < 0.05 * d for d in (1, 2))
     _verdict(7, "Dirac Besov scaling", ok,
@@ -124,13 +123,12 @@ def _random_phase_field(sp, seed):
 
 def test_c08_semigroup_smoothing_exponent():
     sp = g.make_grid(1, 4096, 40.0)
-    part = dy.build_partition(sp)
     idx = dy.BesovIndex(0.5, np.inf, np.inf)
     ts = 2.0 ** np.arange(-8, -1)
     norms = []
     for seed in range(8):
         fld = _random_phase_field(sp, seed)
-        norms.append([dy.besov_norm(g.semigroup_apply(fld, t), idx, part) for t in ts])
+        norms.append([dy.besov_norm(g.semigroup_apply(fld, t), idx) for t in ts])
     mean = np.exp(np.mean(np.log(norms), axis=0))
     slope = float(np.polyfit(np.log(ts), np.log(mean), 1)[0])
     _verdict(8, "semigroup smoothing exponent", abs(slope + 0.5) < 0.05,

@@ -122,17 +122,15 @@ def test_i_recursion_consistency(spec8pi):
     X, Y = dy.drift_norms(b)
     alpha = b.alpha
     t = 0.5
-    cache = {}
     s_grid = np.array([0.125, 0.25, 0.375, 0.5]) * t / 0.5
-    I10 = np.array([bounds.i_empirical(b, float(s), 1, 1, 0.0, y_points=[0.0],
-                                       m=32, K_cache=cache) for s in s_grid])
-    I1a = np.array([bounds.i_empirical(b, float(s), 1, 1, alpha, y_points=[0.0],
-                                       m=32, K_cache=cache) for s in s_grid])
+    I10 = np.array([bounds.i_empirical(b, float(s), 1, 1, 0.0, y_points=[0.0], m=32)
+                    for s in s_grid])
+    I1a = np.array([bounds.i_empirical(b, float(s), 1, 1, alpha, y_points=[0.0], m=32)
+                    for s in s_grid])
     worst = 0.0
     for i in (0, 1):
         for beta_sel in (0.0, alpha):
-            lhs = bounds.i_empirical(b, t, 2, i, beta_sel, y_points=[0.0],
-                                     m=32, K_cache={})
+            lhs = bounds.i_empirical(b, t, 2, i, beta_sel, y_points=[0.0], m=32)
             w = (t - s_grid[:-1]) ** (-(i + beta_sel) / 2)
             integrand = w * (X * I10[:-1]
                              + Y * ((t - s_grid[:-1]) ** (-alpha / 2) * I10[:-1]
@@ -195,9 +193,8 @@ def test_series_dominance_term_by_term(spec8pi):
     t, c = 0.5, 2.0
     res = px.gamma_series(b, t, 0.0, K_max=3, m=96)
     env = g.gaussian(spec, c * t).values
-    cache = {}
     for k in (1, 2):
-        I0k = bounds.i_empirical(b, t, k, 0, 0.0, y_points=[0.0], m=96, K_cache=cache)
+        I0k = bounds.i_empirical(b, t, k, 0, 0.0, y_points=[0.0], m=96)
         lhs = np.abs(res.term_fields[k - 1])
         mask = env > bounds.I_RATIO_FLOOR * env.max()
         assert np.all(lhs[mask] <= I0k * env[mask] * (1 + 5e-2) + 1e-12)
@@ -259,15 +256,18 @@ def _old_bootstrap(b, a, kappa, K_max, tol, m):
             "all_ok": all(ch["ok"] for ch in checks)}
 
 
-def _old_i_empirical(b, t, k, i, beta_sel, y_points, m, cache, c=2.0):
-    """Integrand node by node, one single-slice transform per multiplier."""
+def _old_i_empirical(b, t, k, i, beta_sel, y_points, m, c=2.0):
+    """Integrand node by node, one single-slice transform per multiplier; the
+    families come straight from the engine pieces."""
     spec = b.spec
     xi = g.freq_components(spec)[0]
     muls = {0: [np.ones(spec.shape)], 1: [1j * xi], 2: [(1j * xi) * (1j * xi)]}
     pc = g.gaussian(spec, c * t)
     best = 0.0
     for y in y_points:
-        s, psi_hat = bounds._family_for(b, t, float(y), k, m, cache)
+        s, bs, _, psi_hat = px._first_family(b, t, float(y), m)
+        for _ in range(k - 1):
+            psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, px._trapezoid(spec, psi_hat, s)))
         pc_y = np.roll(pc.values, int(round(y / spec.h)))
         mask = pc_y > bounds.I_RATIO_FLOOR * pc_y.max()
         integrand = np.empty(len(s))
@@ -305,13 +305,11 @@ def test_bootstrap_builds_one_matrix_per_step_time(spec8pi, monkeypatch):
 def test_i_empirical_matches_per_node_loop(spec8pi, preset):
     b = drifts.make_preset(preset, spec8pi, amplitude=0.8)
     t, m, ys = 0.5, 32, [0.0, 1.3]
-    cache = {}
     for k in (1, 2, 3):
         for i in (0, 1):
             for beta_sel in (0.0, b.alpha):
-                new = bounds.i_empirical(b, t, k, i, beta_sel, y_points=ys, m=m,
-                                         K_cache=cache)
-                ref = _old_i_empirical(b, t, k, i, beta_sel, ys, m, cache)
+                new = bounds.i_empirical(b, t, k, i, beta_sel, y_points=ys, m=m)
+                ref = _old_i_empirical(b, t, k, i, beta_sel, ys, m)
                 assert new > 0
                 assert abs(new - ref) <= 1e-13 * ref
 
@@ -343,6 +341,29 @@ def test_ibound_table_builds_three_ratio_stacks_per_family(spec8pi, monkeypatch)
             for e in table.entries} == ref
 
 
+def test_ibound_table_builds_each_family_once(spec8pi, monkeypatch):
+    # each (t, source) walks k = 1..k_max once: one first family, then one
+    # -div(b G) step per further family (a restart at k = 1 per k would build
+    # 1 + 2 + 3 families per pair)
+    b = drifts.single_mode_drift(spec8pi, amplitude=1.0)
+    ts, k_max, ys = [0.5, 1.0], 3, [0.0, 1.3]
+    firsts, steps = [], []
+
+    def first_family(b_, t, y, m, _orig=bounds._first_family):
+        firsts.append((t, y))
+        return _orig(b_, t, y, m)
+
+    def neg_div_hat(spec, bs, v, _orig=bounds._neg_div_hat):
+        steps.append(1)
+        return _orig(spec, bs, v)
+
+    monkeypatch.setattr(bounds, "_first_family", first_family)
+    monkeypatch.setattr(bounds, "_neg_div_hat", neg_div_hat)
+    bounds.ibound_table(b, ts, k_max=k_max, m=32, y_points=ys)
+    assert sorted(firsts) == sorted((t, y) for t in ts for y in ys)
+    assert len(steps) == (k_max - 1) * len(ts) * len(ys)
+
+
 def test_ratio_extremes_reads_inf_on_clipped_kernel(spec8pi_small):
     spec = spec8pi_small
     src = np.arange(spec.n)
@@ -351,18 +372,9 @@ def test_ratio_extremes_reads_inf_on_clipped_kernel(spec8pi_small):
     ringing = M - 1e-7 * M.max()  # a negative overshoot inside the resolved region
     p_lo = g.gaussian(spec, 0.5 * 0.5).values
     for K in (M, ringing):
-        for floor_rel in (bounds.SUPPORT_FLOOR, 1e-3):
-            new = bounds._ratio_extremes(spec, K, src, p_lo, floor_rel=floor_rel)
-            clipped = bounds._ratio_extremes(spec, np.maximum(K, 0.0), src, p_lo,
-                                             floor_rel=floor_rel)
-            old = _old_ratio_extremes(spec, np.maximum(K, 0.0), src, p_lo, floor_rel)
-            assert new[1] == clipped[1] == old[1]
-            assert new[0] == old[0]
-        # the default floor comes from K's own overshoot, not the clipped copy's
+        # the floor comes from K's own overshoot, not the clipped copy's
         noise = max(0.0, float(-K.min())) / float(K.max())
         floor_rel = max(bounds.SUPPORT_FLOOR, 50.0 * noise)
         assert bounds._ratio_extremes(spec, K, src, p_lo) == (
             _old_ratio_extremes(spec, K, src, p_lo, floor_rel)[0],
             _old_ratio_extremes(spec, np.maximum(K, 0.0), src, p_lo, floor_rel)[1])
-    assert bounds._ratio_extremes(spec, ringing, src, p_lo,
-                                  floor_rel=bounds.SUPPORT_FLOOR)[1] == 0.0

@@ -47,18 +47,17 @@ def test_block_frequency_localization(spec8pi):
     xi0 = 6.0  # inside block 2's plateau
     assert part.multiplier(2)[np.argmin(np.abs(spec8pi.axis_freqs() - xi0))] == 1.0
     f = g.GridField(spec8pi, np.cos(xi0 * x))
-    b2 = dy.block(f, 2, part)
-    b0 = dy.block(f, 0, part)
+    b2 = dy.block(f, 2)
+    b0 = dy.block(f, 0)
     assert np.abs(b2.values - f.values).max() < 1e-12
     assert np.abs(b0.values).max() < 1e-12
 
 
 def test_block_two_apart_annihilate(spec40):
-    part = dy.build_partition(spec40)
     rng = np.random.default_rng(3)
     f = g.GridField(spec40, rng.standard_normal(spec40.shape))
     for i, j in ((0, 2), (1, 3), (-1, 1)):
-        bb = dy.block(dy.block(f, i, part), j, part)
+        bb = dy.block(dy.block(f, i), j)
         assert np.abs(bb.values).max() < 1e-12 * np.abs(f.values).max()
 
 
@@ -67,10 +66,10 @@ def test_block_reconstruction(spec40):
     rng = np.random.default_rng(4)
     for _ in range(20):
         f = g.GridField(spec40, rng.standard_normal(spec40.shape))
-        low = dy.block(f, -1, part).values
-        high = dy.block(f, dy.GEQ0, part).values
+        low = dy.block(f, -1).values
+        high = dy.block(f, dy.GEQ0).values
         assert np.abs(low + high - f.values).max() < 1e-10 * np.abs(f.values).max()
-        full = sum(dy.block(f, i, part).values for i in part.indices)
+        full = sum(dy.block(f, i).values for i in part.indices)
         assert np.abs(full - f.values).max() < 1e-10 * np.abs(f.values).max()
 
 
@@ -91,39 +90,36 @@ def test_besov_single_wave(spec8pi):
     xi0 = xi[cand[np.argmin(np.abs(np.abs(xi[cand]) - 12))]]
     amp = 0.7
     f = g.GridField(spec8pi, amp * np.cos(abs(xi0) * x))
-    val = dy.besov_norm(f, dy.BesovIndex(2.0, np.inf, 1), part)
+    val = dy.besov_norm(f, dy.BesovIndex(2.0, np.inf, 1))
     assert abs(val - 2.0**6 * amp) < 1e-8
 
 
 def test_besov_monotone_in_s(spec40):
-    part = dy.build_partition(spec40)
     rng = np.random.default_rng(5)
     f = g.GridField(spec40, rng.standard_normal(spec40.shape))
     ss = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
-    vals = [dy.besov_norm(f, dy.BesovIndex(s, np.inf, 1), part) for s in ss]
+    vals = [dy.besov_norm(f, dy.BesovIndex(s, np.inf, 1)) for s in ss]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
 
 def test_besov_dirac_l1_flat():
     # ||Delta_i delta||_{L^1} is i-independent over fully resolved blocks
     spec = g.make_grid(1, 1024, 20.0)
-    part = dy.build_partition(spec)
     i_hi = int(np.floor(np.log2(3 * (np.pi * spec.n / spec.L) / 8)))
     delta = g.discrete_delta(spec)
-    vals = [g.lp_norm(dy.block(delta, i, part), 1) for i in range(0, i_hi + 1)]
+    vals = [g.lp_norm(dy.block(delta, i), 1) for i in range(0, i_hi + 1)]
     assert max(vals) / min(vals) < 1.10
 
 
 def test_besov_embedding_constant(spec40):
     # B^{-a}_{inf,1} <-> C^{-a} sandwich: finite observed constant
-    part = dy.build_partition(spec40)
     rng = np.random.default_rng(6)
     alpha, eps = 0.25, 0.05
     worst = 0.0
     for _ in range(20):
         f = g.GridField(spec40, rng.standard_normal(spec40.shape))
-        lower = dy.besov_norm(f, dy.BesovIndex(-alpha - eps, np.inf, 1), part)
-        upper = dy.besov_norm(f, dy.BesovIndex(-alpha, np.inf, np.inf), part)
+        lower = dy.besov_norm(f, dy.BesovIndex(-alpha - eps, np.inf, 1))
+        upper = dy.besov_norm(f, dy.BesovIndex(-alpha, np.inf, np.inf))
         worst = max(worst, lower / upper)
     assert np.isfinite(worst)
     assert worst < 50
@@ -139,16 +135,15 @@ def test_drift_norms_presets(spec8pi):
 
 def _drift_norms_per_sample(b):
     # one sample and one component at a time, through the public block helpers
-    part = dy.build_partition(b.spec)
     idx = dy.BesovIndex(s=-b.alpha, p=np.inf, q=1)
     X = Y = 0.0
     for j in range(len(b.times)):
         x_j = y_j = 0.0
         for c in range(b.spec.d):
             comp = b.values[j, c]
-            low = dy.block_values(b.spec, comp, -1, part)
+            low = dy.block_values(b.spec, comp, -1)
             x_j += float(np.abs(low).max())
-            y_j += dy.besov_norm_values(b.spec, comp - low, idx, part)
+            y_j += dy.besov_norm_values(b.spec, comp - low, idx)
         X, Y = max(X, x_j), max(Y, y_j)
     return X, Y
 

@@ -52,7 +52,7 @@ def test_simulate_chunk_invariance_wide(case):
 def _modulo_interp(interp, t, X):
     """Reference drift read: float modulo, floor twice, wrapped gather."""
     fine = np.stack([mc._spectral_upsample(interp.spec, interp.b.values[
-        interp.b.time_index(t), c], interp.up) for c in range(interp.spec.d)])
+        interp.b.time_index(t), c], mc._UPSAMPLE) for c in range(interp.spec.d)])
     nf = interp.nf
     pos = (X - (-interp.spec.L / 2)) % interp.spec.L
     idx = pos / interp.hf

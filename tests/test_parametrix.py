@@ -1,4 +1,4 @@
-"""Correction-series construction: families, series, gradients, composition."""
+"""Correction-series construction: families, series, composition."""
 
 import threading
 
@@ -105,19 +105,6 @@ def test_gamma_series_translation_covariance(spec8pi_small):
     assert np.abs(np.roll(res0.gamma.values, k) - res1.gamma.values).max() < 1e-12
 
 
-def test_gamma_grad(spec8pi):
-    res0 = px.gamma_series(drifts.zero_drift(spec8pi), 1.0, 0.0)
-    grad = res0.grad_gamma[0].values
-    assert np.abs(grad - g.gaussian_deriv(spec8pi, 1.0, (1,)).values).max() < 1e-10
-    b = drifts.single_mode_drift(spec8pi, amplitude=1.0, xi0=1.0)
-    grad = px.gamma_series(b, 1.0, 0.0).grad_gamma[0].values
-    # gradient envelope: sup |dGamma| / (t^{-1/2} p(ct, .)) finite
-    env = g.gaussian(spec8pi, 2.0).values
-    mask = env > 1e-13 * env.max()
-    ratio = np.abs(grad[mask]) / env[mask]
-    assert np.isfinite(ratio.max())
-
-
 def test_gamma_grad_odd_symmetry_oracle(spec8pi):
     # even drift about the source: odd part of (Gamma - p) is the first
     # correction term up to higher-order (even) corrections
@@ -189,7 +176,7 @@ def _series_per_node(b, t, y, K_max=12, tol=1e-6, m=128):
     # the series one node at a time: drift slice by DriftField.at_time,
     # -div(b G) back in physical space at every node, and the exponential
     # trapezoid on a forward transform of each family (with its even-node
-    # Richardson twin); returns (K_used, gamma, its gradient, quad_gap)
+    # Richardson twin); returns (K_used, gamma, quad_gap)
     spec = b.spec
     comps = g.freq_components(spec)
     s = px.time_nodes(t, m)
@@ -225,7 +212,7 @@ def _series_per_node(b, t, y, K_max=12, tol=1e-6, m=128):
         if np.abs(G[-1]).max() <= tol * sup_p:
             break
         fields = np.stack([neg_div(j, G[j]) for j in range(len(s))])
-    return k, g.ifft(spec, gamma_hat), g.ifft(spec, 1j * comps[0] * gamma_hat), quad_gap
+    return k, g.ifft(spec, gamma_hat), quad_gap
 
 
 def _swapped_single_mode_2d():
@@ -248,14 +235,10 @@ def _swapped_single_mode_2d():
 def test_series_matches_per_node_loop(spec8pi_small, make_drift, y):
     b = make_drift(spec8pi_small)
     res = px.gamma_series(b, 0.5, y)
-    k, gamma, grad, quad_gap = _series_per_node(b, 0.5, y)
-    got, got_grad = res.gamma, res.grad_gamma[0]
-    if np.ndim(y) < 2:
-        got, got_grad = got.values, got_grad.values
+    k, gamma, quad_gap = _series_per_node(b, 0.5, y)
+    got = res.gamma if np.ndim(y) == 2 else res.gamma.values
     assert res.K_used == k
     assert np.abs(got - gamma).max() <= 1e-13 * np.abs(gamma).max()
-    # the spectral gradient sees the Nyquist mode that -div(b G) must not feed
-    assert np.abs(got_grad - grad).max() <= 1e-13 * np.abs(grad).max()
     assert abs(res.quad_gap - quad_gap) <= 1e-12
 
 
@@ -320,10 +303,7 @@ def _series_one_block(b, t, y, K_max=12, tol=1e-6, m=64):
     tail = sups[-1] * ratio / (1.0 - ratio) if 0 < ratio < 1 else sups[-1]
     if sups[-1] <= tol * sup_p:
         tail = sups[-1]
-    comps = g.freq_components(spec)
-    return {"gamma": g.ifft(spec, gamma_hat),
-            "grad_gamma": [g.ifft(spec, (1j * comps[c]) * gamma_hat) for c in range(spec.d)],
-            "gamma_hat": gamma_hat, "term_fields": np.asarray(terms),
+    return {"gamma": g.ifft(spec, gamma_hat), "term_fields": np.asarray(terms),
             "term_sup_norms": np.asarray(sups), "K_used": k, "quad_gap": quad_gap,
             "tail_estimate": tail + quad_gap * max(max(sups), 1e-300)}
 
@@ -339,10 +319,8 @@ def _blocked(b, t, y, **kw):
 
 def _assert_bytes_equal(res, ref):
     assert res.K_used == ref["K_used"]
-    for name in ("gamma", "gamma_hat", "term_fields", "term_sup_norms"):
+    for name in ("gamma", "term_fields", "term_sup_norms"):
         assert getattr(res, name).tobytes() == ref[name].tobytes(), name
-    for got, want in zip(res.grad_gamma, ref["grad_gamma"], strict=True):
-        assert got.tobytes() == want.tobytes()
     assert res.quad_gap == ref["quad_gap"]
     assert res.tail_estimate == ref["tail_estimate"]
 
