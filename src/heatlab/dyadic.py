@@ -10,11 +10,15 @@ Besov norms weight block i>=0 by 2^{is}; the low block carries weight 1 so the
 scale is monotone in s (the standard 2^{-s} low-block weight is equivalent up
 to constants but not monotone).  Blocks, Besov norms, drift norms and
 mollification all take the partition from `build_partition`'s per-spec cache.
+
+A `DriftField` holds its samples read-only, so its controlling norms belong to
+the instance: `drift_norms` computes them on first use and stores them there.
+Shifted and mollified drifts are new instances and compute their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -152,7 +156,10 @@ class DriftField:
 
     values has shape (n_times, d, *grid shape); times are increasing and start
     at 0.  Time lookup is nearest-sample (the drift is continuous in time, so
-    first-order time quadrature suffices at desk tolerances).
+    first-order time quadrature suffices at desk tolerances).  values is a
+    read-only view, so no write through the drift can make the norms that
+    `drift_norms` stores on it stale; a different drift is a new DriftField.
+    The caller's own array is not frozen and must not change afterwards.
     """
 
     spec: g.GridSpec
@@ -160,10 +167,12 @@ class DriftField:
     values: np.ndarray
     alpha: float = 0.25
     tag: str = "drift"
+    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.asarray(self.values, dtype=float).view()
+        self.values.flags.writeable = False
         want = (len(self.times), self.spec.d) + self.spec.shape
         if self.values.shape != want:
             raise SpecMismatch(f"drift values shape {self.values.shape} != {want}")
@@ -180,9 +189,25 @@ class DriftField:
 
     def time_index(self, t):
         """Nearest stored sample to t, first on ties; an index array when t is
-        an array of times."""
-        idx = np.argmin(np.abs(self.times - np.expand_dims(t, -1)), axis=-1)
-        return int(idx) if np.ndim(t) == 0 else idx
+        an array of times.
+
+        Bisection finds the two samples around t.  Rounding can make earlier
+        samples exactly as near as the chosen one (t far outside the samples);
+        those entries fall back to the argmin over all samples.
+        """
+        times = self.times
+        t = np.asarray(t, dtype=float)
+        if len(times) == 1:
+            idx = np.zeros(t.shape, dtype=np.intp)
+        else:
+            right = np.searchsorted(times[1:-1], t) + 1  # in [1, len(times) - 1]
+            near = np.abs(times[right - 1] - t) <= np.abs(times[right] - t)
+            idx = np.where(near, right - 1, right)
+            dist = np.abs(times[idx] - t)
+            redo = (idx > 0) & (np.abs(times[idx - 1] - t) == dist)
+            if redo.any():
+                idx[redo] = np.argmin(np.abs(times - t[redo][..., None]), axis=-1)
+        return int(idx) if t.ndim == 0 else idx
 
     def at_time(self, t) -> np.ndarray:
         """Component array (d, *shape) at the nearest stored sample; a stack
@@ -208,14 +233,22 @@ class DriftField:
 
 
 def drift_norms(b: DriftField):
-    """Controlling norms (X, Y) of a drift.
+    """Controlling norms (X, Y) of a drift, computed once per instance.
 
     X = max over time samples of ||Delta_{-1} b||_inf, Y = max over samples of
     ||Delta_{>=0} b||_{B^{-alpha}_{inf,1}}; vector norms are sums of component
-    norms.  Samples are transformed in blocks of _SAMPLE_BLOCK, all components
-    at once, with the same arithmetic as `block_values` and
-    `besov_norm_values` per sample.
+    norms.  The first call stores (X, Y) on b with the alpha they were
+    computed for; later calls return the stored tuple without a transform.
     """
+    if b._norms is None or b._norms[0] != b.alpha:
+        b._norms = (b.alpha, _compute_norms(b))
+    return b._norms[1]
+
+
+def _compute_norms(b: DriftField):
+    """(X, Y) from every sample: samples are transformed in blocks of
+    _SAMPLE_BLOCK, all components at once, with the same arithmetic as
+    `block_values` and `besov_norm_values` per sample."""
     part = build_partition(b.spec)
     spec = b.spec
     space = tuple(range(-spec.d, 0))

@@ -80,7 +80,9 @@ def _theta_per_node(phi, b, v, offset):
 def _refreshing(d, n):
     b = drifts.make_preset("refreshing-mode", g.make_grid(d, n, 8 * np.pi), horizon=1.0)
     if d == 2:  # component 2 varies along the second axis: both batched axes matter
-        b.values[:, 1] = np.swapaxes(b.values[:, 1], -1, -2).copy()
+        vals = b.values.copy()
+        vals[:, 1] = np.swapaxes(vals[:, 1], -1, -2).copy()
+        b = dy.DriftField(b.spec, b.times, vals, b.alpha, tag=b.tag)
     return b
 
 
@@ -143,6 +145,51 @@ def test_picard_builds_one_heat_base_per_slab(monkeypatch, spec8pi_small):
     thetas = 2 * trials + sum(rep["iterations"])
     assert trials > 1 and rep["segments"] > 1
     assert calls == {"fft": thetas + slabs, "ifft": thetas + slabs}
+
+
+def _picard_reference(phi, b, plan, tol):
+    # every segment from a freshly built heat base, no iterate carried over
+    spec, data, iters = phi.spec, phi.values, []
+    for a, bnd in plan:
+        times = px.time_nodes(bnd - a, cy._M)
+        base = cy.TimeField(spec, times, px._heat_stack(spec, g.fft(spec, data), times))
+        v, it = base, 0
+        while True:
+            nxt = cy.theta_apply(base, b, v, offset=a)
+            res, v, it = np.abs(nxt.values - v.values).max(), nxt, it + 1
+            if res <= tol:
+                break
+        iters.append(it)
+        data = v.values[-1]
+    return data, iters
+
+
+@pytest.mark.parametrize("amplitude, T", [(1.0, 0.25), (4.0, 1.0)],
+                         ids=["one-segment", "two-segments"])
+def test_first_segment_continues_the_calibration_iterates(monkeypatch, spec8pi_small,
+                                                          amplitude, T):
+    # the trial slab is the first segment: its two calibration iterates open
+    # it, so only the halved trials cost extra theta applications
+    b = drifts.single_mode_drift(spec8pi_small, amplitude=amplitude)
+    phi = g.gaussian_shifted(spec8pi_small, 0.05, 0.3)
+    thetas = [0]
+    theta = cy.theta_apply
+
+    def counting(*args, **kwargs):
+        thetas[0] += 1
+        return theta(*args, **kwargs)
+
+    monkeypatch.setattr(cy, "theta_apply", counting)
+    v = cy.picard_solve(phi, b, T=T, tol=1e-9)
+    rep = v.report
+    edges = np.linspace(0.0, T, rep["segments"] + 1)
+    assert edges[1] == rep["calibration"]["trial"]
+    trials = round(np.log2(min(T, 0.5) / rep["calibration"]["trial"])) + 1
+    assert thetas[0] == sum(rep["iterations"]) + 2 * (trials - 1)
+    monkeypatch.setattr(cy, "theta_apply", theta)
+    terminal, iters = _picard_reference(phi, b, zip(edges[:-1], edges[1:]), 1e-9)
+    assert iters == rep["iterations"]
+    assert v.values[-1].tobytes() == terminal.tobytes()
 
 
 def test_theta_apply_rejects_base_on_other_nodes(spec8pi_small):

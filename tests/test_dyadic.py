@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from heatlab import drifts, dyadic as dy, grid as g
 from heatlab.errors import IndexOutOfRange, PartitionInfeasible
@@ -172,6 +174,69 @@ def test_drift_norms_single_mode_oracle(spec8pi):
     X, Y = dy.drift_norms(b)
     assert X < 1e-10
     assert abs(Y - A * 2 ** (-2 * alpha)) < 0.02 * A
+
+
+def test_drift_norms_are_stored_on_the_drift(monkeypatch, spec8pi):
+    b = drifts.make_preset("time-varying", spec8pi, amplitude=0.8, horizon=1.0)
+    first = dy.drift_norms(b)
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counting(*args, _name=name, _orig=getattr(g, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(g, name, counting)
+    assert dy.drift_norms(b) is first
+    assert calls == {"fft": 0, "ifft": 0}
+    # shifted and mollified drifts are new instances: they compute their own
+    assert dy.drift_norms(b.shift(0.5)) == _drift_norms_per_sample(b.shift(0.5))
+    assert calls["fft"] > 0
+    before = dict(calls)
+    mollified = dy.mollify_drift(b, 2)
+    after_mollify = dict(calls)
+    assert dy.drift_norms(mollified) == _drift_norms_per_sample(mollified)
+    assert calls["fft"] > after_mollify["fft"] > before["fft"]
+
+
+def test_drift_values_are_read_only_but_the_callers_array_is_not(spec8pi_small):
+    vals = np.ones((1, 1) + spec8pi_small.shape)
+    b = dy.DriftField(spec8pi_small, [0.0], vals)
+    with pytest.raises(ValueError):
+        b.values[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        b.at_time(0.0)[0] *= 2.0
+    vals[0, 0, 0] = 2.0  # the caller's array is not frozen
+
+
+def _argmin_index(times, t):
+    idx = np.argmin(np.abs(times - np.expand_dims(t, -1)), axis=-1)
+    return int(idx) if np.ndim(t) == 0 else idx
+
+
+@st.composite
+def _times_and_queries(draw):
+    steps = draw(arrays(float, st.integers(0, 40),
+                        elements=st.floats(1e-6, 1e3, allow_subnormal=False)))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    times = times[np.concatenate([[True], np.diff(times) > 0])]
+    mids = (times[1:] + times[:-1]) / 2  # exact ties
+    span = times[-1] + 1.0
+    free = draw(arrays(float, st.integers(0, 20),
+                       elements=st.floats(-10 * span, 10 * span)))
+    far = np.array([-1e300, 1e300, -np.inf, np.inf])
+    return times, np.concatenate([times, mids, free, far])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_times_and_queries())
+def test_time_index_bisection_equals_argmin(spec8pi_small, case):
+    times, t = case
+    b = dy.DriftField(spec8pi_small, times, np.zeros((len(times), 1) + spec8pi_small.shape))
+    got = b.time_index(t)
+    assert got.dtype == np.intp and np.array_equal(got, _argmin_index(times, t))
+    assert np.array_equal(b.time_index(t.reshape(-1, 1)), _argmin_index(times, t[:, None]))
+    for s in np.concatenate([t[:4], t[-6:]]):  # samples, free and far t
+        one = b.time_index(s)
+        assert type(one) is int and one == _argmin_index(times, s)
 
 
 def test_mollify_drift(spec8pi):

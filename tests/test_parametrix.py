@@ -217,8 +217,9 @@ def _series_per_node(b, t, y, K_max=12, tol=1e-6, m=128):
 
 def _swapped_single_mode_2d():
     b = drifts.single_mode_drift(g.make_grid(2, 32, 8 * np.pi), amplitude=1.0, xi0=1.0)
-    b.values[:, 1] = np.swapaxes(b.values[:, 1], -1, -2).copy()  # both axes carry drift
-    return b
+    vals = b.values.copy()
+    vals[:, 1] = np.swapaxes(vals[:, 1], -1, -2).copy()  # both axes carry drift
+    return DriftField(b.spec, b.times, vals, b.alpha, tag=b.tag)
 
 
 @pytest.mark.parametrize("make_drift, y", [
