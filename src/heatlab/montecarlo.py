@@ -3,7 +3,10 @@
 Euler-Maruyama under smooth (mollified) drift with counter-based randomness:
 every normal increment is addressed by its absolute index (path, step,
 component), so ensembles are bit-identical under any chunking or thread
-schedule.  Derived statistics: kernel density estimates on the grid (the KDE
+schedule.  The draws do not depend on the paths, so `simulate` draws each
+block's normals one block ahead: the calling thread draws block k while one
+worker thread reads the drift and updates the paths for block k-1.  Results
+do not depend on it.  Derived statistics: kernel density estimates on the grid (the KDE
 of box-wrapped samples estimates exactly the periodized transition density),
 escape probabilities with Wilson intervals, and the path-modulus machinery
 (double-integral functional, modulus inequality checks, exponential
@@ -13,6 +16,9 @@ the reflection oracle sums `_IMAGE_TERMS` images on each side.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,24 +50,22 @@ _IMAGE_TERMS = 64  # image-series half-width of the reflection oracle
 # -- counter-based randomness --------------------------------------------------
 
 
-def _raw_uint64(seed: int, start: int, count: int) -> np.ndarray:
-    """Raw 64-bit words `start .. start+count` of the keyed counter stream."""
-    block, offset = divmod(start, 4)
-    total = offset + count
-    bg = np.random.Philox(key=seed, counter=block)
-    raw = bg.random_raw(-(-total // 4) * 4)
-    return raw[offset:offset + count]
-
-
 def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms in (0,1) addressed by absolute draw index."""
-    raw = _raw_uint64(seed, start, count)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """Uniforms (k + 1/2) 2^-53 in (0,1) addressed by absolute draw index, k
+    the top 53 bits of 64-bit word `start + i` of the keyed Philox stream."""
+    block, offset = divmod(start, 4)
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=block))
+    # `random` fills k 2^-53 exactly in one pass; adding 2^-54 rounds as
+    # k + 1/2 does, so the words give the same uniforms bit for bit
+    u = gen.random(offset + count)[offset:]
+    u += 2.0**-54
+    return u
 
 
 def counter_normals(seed: int, start: int, count: int) -> np.ndarray:
     """Standard normals by inverse CDF on the counter stream."""
-    return ndtri(counter_uniforms(seed, start, count))
+    u = counter_uniforms(seed, start, count)
+    return ndtri(u, out=u)
 
 
 # -- drift interpolation -------------------------------------------------------
@@ -83,7 +87,8 @@ class _DriftInterp:
     needs no integer modulo (a position that rounds to exactly L reads
     entries nf and nf+1).  Only the slice of the current time index is kept:
     simulate marches forward and never reads an earlier one again.  `eval`
-    works in place: fewer live temporaries stop malloc re-faulting the heap.
+    works on work buffers kept on the interpolator and sized to the largest
+    batch of positions seen, so repeated reads allocate nothing.
     """
 
     def __init__(self, b: DriftField):
@@ -92,6 +97,7 @@ class _DriftInterp:
         self.nf = b.spec.n * _UPSAMPLE
         self.hf = b.spec.L / self.nf
         self._cache: tuple = (None, None)
+        self._work: tuple = ()
 
     def _fine(self, t_idx: int) -> np.ndarray:
         if self._cache[0] != t_idx:
@@ -101,23 +107,46 @@ class _DriftInterp:
                                          mode="wrap"))
         return self._cache[1]
 
-    def eval(self, t: float, X: np.ndarray) -> np.ndarray:
-        """Drift at unwrapped positions X of shape (N, d)."""
-        fine = self._fine(self.b.time_index(t))
+    def _buffers(self, m: int) -> list:
+        """Work arrays for m positions: (m, d) pos, floor, index and sign
+        mask, then (m,) low and high values."""
+        if not self._work or len(self._work[0]) < m:
+            shape = (m, self.spec.d)
+            self._work = (np.empty(shape), np.empty(shape),
+                          np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool),
+                          np.empty(m), np.empty(m))
+        return [w[:m] for w in self._work]
+
+    def eval(self, t_idx: int, X: np.ndarray) -> np.ndarray:
+        """Drift of time slice `t_idx` (`DriftField.time_index`) at unwrapped
+        positions X of shape (N, d).
+
+        For d=1 the result is a view of a work buffer that the next call
+        overwrites: consume it first.
+        """
+        fine = self._fine(t_idx)
         L = self.spec.L
-        # fmod plus the sign fix-up is numpy's float % bit for bit
-        pos = X + L / 2
-        np.fmod(pos, L, out=pos)
-        np.add(pos, L, out=pos, where=pos < 0)
+        pos, fl, i0, neg, lo, hi = self._buffers(len(X))
+        # fmod plus the sign fix-up is numpy's float % bit for bit; both are
+        # the identity when every position already lies in [0, L)
+        np.add(X, L / 2, out=pos)
+        if not (pos.min() >= 0 and pos.max() < L):
+            np.fmod(pos, L, out=pos)
+            np.less(pos, 0, out=neg)
+            np.add(pos, L, out=pos, where=neg)
         pos /= self.hf
-        fl = np.floor(pos)
-        i0 = fl.astype(np.intp)
+        np.floor(pos, out=fl)
+        np.copyto(i0, fl, casting="unsafe")
         frac = np.subtract(pos, fl, out=pos)
         if self.spec.d == 1:
             f, a, w = fine[0], i0[:, 0], frac[:, 0]
-            lo = f.take(a)
-            lo *= 1 - w
-            lo += f.take(a + 1) * w
+            f.take(a, out=lo, mode="clip")  # indices lie in [0, nf + 1]
+            np.subtract(1, w, out=hi)
+            lo *= hi
+            a += 1
+            f.take(a, out=hi, mode="clip")
+            hi *= w
+            lo += hi
             return lo[:, None]
         out = np.empty_like(X)
         a1, a2 = i0[:, 0], i0[:, 1]
@@ -133,6 +162,16 @@ class _DriftInterp:
 
 
 # -- simulation ----------------------------------------------------------------
+
+
+class _Done:
+    """A call made at once on the calling thread, read like a pool's Future."""
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
 
 
 @dataclass
@@ -172,6 +211,11 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     Paths are unwrapped (positions live on the line/plane); the drift is read
     through periodic trigonometric interpolation.  Increment indexing is
     (step, path, component), so results are independent of `chunk`.
+
+    A block is one (step, chunk) pair.  When the process may use more than
+    one CPU (its affinity), the calling thread draws the normals of block k
+    while one worker thread steps block k-1: drift read, update, sup
+    deviation, kept paths and snapshots.  Results do not depend on it.
     """
     spec = b_smooth.spec
     if h_t > 1e-2 + 1e-15:
@@ -188,6 +232,7 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
         snapshot_times = [T]
     snap_steps = {int(round(t / h_t)): float(t) for t in snapshot_times}
     interp = _DriftInterp(b_smooth)
+    t_idx = b_smooth.time_index(h_t * np.arange(n_steps))
     keep_paths = min(keep_paths, N)
 
     X = np.tile(x0, (N, 1))
@@ -199,20 +244,45 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     if 0 in snap_steps:
         snapshots[snap_steps[0]] = X.copy()
     sqdt = np.sqrt(h_t)
-    for j in range(n_steps):
-        t_j = j * h_t
-        base = j * N * d
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            xi = counter_normals(seed, base + lo * d, (hi - lo) * d).reshape(hi - lo, d)
-            drift = interp.eval(t_j, X[lo:hi]) if sup_b > 0 else 0.0
-            X[lo:hi] += drift * h_t + sqdt * xi
-        dev = np.abs(X[:, 0] - x0[0]) if d == 1 else np.linalg.norm(X - x0, axis=1)
-        np.maximum(sup_dev, dev, out=sup_dev)
+    blocks = [(j, lo) for j in range(n_steps) for lo in range(0, N, chunk)]
+
+    def step(j, lo, xi):
+        """Advance paths lo..hi of step j by the normals xi (no public calls)."""
+        hi = min(lo + chunk, N)
+        xi = xi.reshape(hi - lo, d)
+        # X += drift * h_t + sqdt * xi, in place and bit for bit
+        xi *= sqdt
+        if sup_b > 0:
+            drift = interp.eval(t_idx[j], X[lo:hi])
+            drift *= h_t
+            xi += drift
+        X[lo:hi] += xi
+        if hi < N:
+            return
+        dev = X[:, 0] - x0[0] if d == 1 else np.linalg.norm(X - x0, axis=1)
+        np.maximum(sup_dev, np.abs(dev, out=dev), out=sup_dev)
         if keep_paths:
             kept[:, j + 1] = X[:keep_paths]
         if (j + 1) in snap_steps:
             snapshots[snap_steps[j + 1]] = X.copy()
+
+    # The worker takes the many short numpy calls and this thread the long
+    # native draws: a thread woken between another's short calls seldom wins
+    # the interpreter lock where waking takes ~0.1-1 ms (2-vCPU VMs), and the
+    # reverse split ran slower than no thread.  The worker calls no public
+    # function, so traced spans stay on this thread.
+    threaded = len(blocks) > 1 and len(os.sched_getaffinity(0)) > 1
+    with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:
+        submit = pool.submit if pool is not None else _Done
+        pending = None
+        for j, lo in blocks:
+            # block k's normals are drawn here while block k-1 steps
+            xi = counter_normals(seed, (j * N + lo) * d, (min(lo + chunk, N) - lo) * d)
+            if pending is not None:
+                pending.result()
+            pending = submit(step, j, lo, xi)
+        if pending is not None:
+            pending.result()
     return Ensemble(
         spec=spec, N=N, h_t=h_t, T=T, x0=x0, seed=seed, drift_tag=b_smooth.tag,
         snapshot_times=np.asarray(sorted(snapshots)), snapshots=snapshots,

@@ -1,7 +1,10 @@
 """Simulation, densities, escape probabilities, path modulus."""
 
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from heatlab import drifts, grid as g, montecarlo as mc, parametrix as px
 from heatlab.errors import DivergentF, StepTooLarge
@@ -16,6 +19,17 @@ def test_counter_stream_is_index_addressed():
     assert not np.array_equal(u_full, mc.counter_uniforms(124, 0, 100))
     z = mc.counter_normals(123, 0, 10**5)
     assert abs(z.mean()) < 0.02 and abs(z.std() - 1) < 0.01
+
+
+def test_counter_uniforms_follow_the_raw_word_formula():
+    # u = ((word >> 11) + 1/2) 2^-53; half the words have k >= 2^52, where
+    # k + 1/2 is not representable and rounds to even
+    for start in (0, 1, 2, 3, 37, 4 * 10**9 + 3):
+        block, offset = divmod(start, 4)
+        raw = np.random.Philox(key=123, counter=block).random_raw(offset + 1000)[offset:]
+        ref = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert mc.counter_uniforms(123, start, 1000).tobytes() == ref.tobytes()
+        assert mc.counter_normals(123, start, 1000).tobytes() == ndtri(ref).tobytes()
 
 
 def test_simulate_chunk_invariance(spec8pi_small):
@@ -90,9 +104,12 @@ def test_drift_interp_matches_modulo_formula(d):
     X[len(edges):2 * len(edges), -1] = edges
     if d == 2:
         X[:len(edges), 1] = edges[::-1]
+    inside = np.vstack([X[(np.abs(X) < L / 2).all(axis=1)], np.full((1, d), -L / 2)])
     interp = mc._DriftInterp(b)
     for t in (0.0, 0.37, 1.0):
-        assert interp.eval(t, X).tobytes() == _modulo_interp(interp, t, X).tobytes()
+        for Y in (X, inside):  # inside: every position skips the modulo
+            out = interp.eval(b.time_index(t), Y)
+            assert out.tobytes() == _modulo_interp(interp, t, Y).tobytes()
 
 
 def test_drift_interp_keeps_one_slice():
@@ -103,12 +120,130 @@ def test_drift_interp_keeps_one_slice():
     assert len({b.time_index(t) for t in times}) == 4
     interp = mc._DriftInterp(b)
     for t in times:
-        out = interp.eval(t, X)
+        out = interp.eval(b.time_index(t), X)
         t_idx, table = interp._cache
         assert t_idx == b.time_index(t)
         assert table.shape == (1, interp.nf + 2)
-        assert out.tobytes() == mc._DriftInterp(b).eval(t, X).tobytes()
+        assert out.tobytes() == mc._DriftInterp(b).eval(b.time_index(t), X).tobytes()
         assert out.tobytes() == _modulo_interp(interp, t, X).tobytes()
+
+
+def _reference_euler(b, x0, T, h_t, N, seed, snapshot_times, keep_paths, chunk):
+    """Serial Euler loop on the counter stream, written from the formula:
+    X += drift * h_t + sqrt(h_t) * xi, one (step, chunk) block at a time."""
+    d = b.spec.d
+    n_steps = int(round(T / h_t))
+    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,))
+    interp = mc._DriftInterp(b)
+    X = np.tile(x0, (N, 1))
+    sup_dev = np.zeros(N)
+    snaps = {0: X.copy()}
+    kept = [X[:keep_paths].copy()]
+    for j in range(n_steps):
+        for lo in range(0, N, chunk):
+            hi = min(lo + chunk, N)
+            xi = mc.counter_normals(seed, (j * N + lo) * d, (hi - lo) * d).reshape(hi - lo, d)
+            drift = (interp.eval(b.time_index(j * h_t), X[lo:hi])
+                     if np.abs(b.values).max() > 0 else 0.0)
+            X[lo:hi] += drift * h_t + np.sqrt(h_t) * xi
+        dev = np.abs(X[:, 0] - x0[0]) if d == 1 else np.linalg.norm(X - x0, axis=1)
+        sup_dev = np.maximum(sup_dev, dev)
+        snaps[j + 1] = X.copy()
+        kept.append(X[:keep_paths].copy())
+    steps = {int(round(t / h_t)) for t in snapshot_times}
+    return ([snaps[s] for s in sorted(steps)], sup_dev,
+            np.stack(kept, axis=1) if keep_paths else np.empty((0, 0, d)))
+
+
+_EULER_CASES = {
+    "single-mode": lambda: (drifts.single_mode_drift(g.make_grid(1, 128, 8 * np.pi),
+                                                     amplitude=1.0, xi0=1.0), 0.0),
+    "2d-time-varying": lambda: (drifts.make_preset("time-varying",
+                                                   g.make_grid(2, 32, 8 * np.pi)),
+                                [0.3, -0.2]),
+    "traveling-mode": lambda: (drifts.make_preset("traveling-mode",
+                                                  g.make_grid(1, 128, 8 * np.pi),
+                                                  amplitude=2.0), 0.1),
+    "zero": lambda: (drifts.zero_drift(g.make_grid(1, 128, 8 * np.pi)), -0.4),
+}
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _ensemble_bytes(e):
+    return ([e.snapshots[t].tobytes() for t in sorted(e.snapshots)],
+            e.sup_dev.tobytes(), e.kept_paths.tobytes())
+
+
+@pytest.mark.parametrize("case", sorted(_EULER_CASES))
+@pytest.mark.parametrize("chunk", [300, 1 << 20])
+def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
+    _affinity(monkeypatch, 2)  # steps on the worker thread
+    b, x0 = _EULER_CASES[case]()
+    kw = dict(x0=x0, T=0.06, h_t=0.005, N=700, seed=21,
+              snapshot_times=[0.0, 0.03, 0.06], keep_paths=5, chunk=chunk)
+    e = mc.simulate(b, **kw)
+    snaps, sup_dev, kept = _reference_euler(b, **kw)
+    assert sorted(e.snapshots) == [0.0, 0.03, 0.06]
+    assert _ensemble_bytes(e) == ([s.tobytes() for s in snaps], sup_dev.tobytes(),
+                                  kept.tobytes())
+
+
+def test_step_thread_follows_cpu_affinity(monkeypatch):
+    pools = []
+
+    class Recording(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    b, x0 = _EULER_CASES["single-mode"]()
+    kw = dict(x0=x0, T=0.05, h_t=0.005, N=500, seed=22, snapshot_times=[0.025, 0.05],
+              keep_paths=3, chunk=200)
+    outs = {}
+    for cpus in (1, 2):
+        _affinity(monkeypatch, cpus)
+        outs[cpus] = _ensemble_bytes(mc.simulate(b, **kw))
+        assert pools == ([] if cpus == 1 else [1])
+    assert outs[1] == outs[2]
+    mc.simulate(b, **dict(kw, T=0.005, N=100))  # one block: nothing to overlap
+    assert pools == [1]
+
+
+def test_simulate_leaves_no_thread_running(monkeypatch):
+    _affinity(monkeypatch, 2)
+    b, x0 = _EULER_CASES["single-mode"]()
+    kw = dict(x0=x0, T=0.05, h_t=0.005, N=300, seed=23, chunk=100)
+    before = threading.active_count()
+    mc.simulate(b, **kw)
+    assert threading.active_count() == before
+
+    draw, calls, boom = mc.counter_normals, [], RuntimeError("draw failed")
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise boom
+        return draw(*args)
+
+    monkeypatch.setattr(mc, "counter_normals", failing)
+    with pytest.raises(RuntimeError) as err:
+        mc.simulate(b, **kw)
+    assert err.value is boom
+    assert threading.active_count() == before
+    monkeypatch.setattr(mc, "counter_normals", draw)
+
+    def failing_step(self, t_idx, X):
+        raise boom
+
+    monkeypatch.setattr(mc._DriftInterp, "eval", failing_step)
+    with pytest.raises(RuntimeError) as err:
+        mc.simulate(b, **kw)
+    assert err.value is boom
+    assert threading.active_count() == before
 
 
 def test_simulate_guards(spec8pi_small):
