@@ -3,10 +3,10 @@
 Euler-Maruyama under smooth (mollified) drift with counter-based randomness:
 every normal increment is addressed by its absolute index (path, step,
 component), so ensembles are bit-identical under any chunking or thread
-schedule.  The draws do not depend on the paths, so `simulate` draws each
-block's normals one block ahead: the calling thread draws block k while one
-worker thread reads the drift and updates the paths for block k-1.  Results
-do not depend on it.  Derived statistics: kernel density estimates on the grid (the KDE
+schedule.  The draws do not depend on the paths, so for large blocks
+`simulate` draws each block's normals one block ahead: the calling thread
+draws block k while one worker thread reads the drift and updates the paths
+for block k-1.  Results do not depend on it.  Derived statistics: kernel density estimates on the grid (the KDE
 of box-wrapped samples estimates exactly the periodized transition density),
 escape probabilities with Wilson intervals, and the path-modulus machinery
 (double-integral functional, modulus inequality checks, exponential
@@ -45,6 +45,12 @@ __all__ = [
 
 _UPSAMPLE = 16  # spectral refinement of the drift table
 _IMAGE_TERMS = 64  # image-series half-width of the reflection oracle
+# Normals per block from which `simulate` steps on a worker thread.  Handing
+# a block to a thread and back took 0.2 ms at the median and 3-7 ms at the
+# 90th percentile on a contended 2-vCPU VM, against 2-3 ms of work in a
+# 5e4-path block: there the thread lost to stepping in line, while 1e6-path
+# blocks (~70 ms of work) gained.
+_THREAD_MIN = 1 << 19
 
 
 # -- counter-based randomness --------------------------------------------------
@@ -212,10 +218,11 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     through periodic trigonometric interpolation.  Increment indexing is
     (step, path, component), so results are independent of `chunk`.
 
-    A block is one (step, chunk) pair.  When the process may use more than
-    one CPU (its affinity), the calling thread draws the normals of block k
-    while one worker thread steps block k-1: drift read, update, sup
-    deviation, kept paths and snapshots.  Results do not depend on it.
+    A block is one (step, chunk) pair.  When a block holds at least
+    `_THREAD_MIN` normals and the process may use more than one CPU (its
+    affinity), the calling thread draws the normals of block k while one
+    worker thread steps block k-1: drift read, update, sup deviation, kept
+    paths and snapshots.  Results do not depend on it.
     """
     spec = b_smooth.spec
     if h_t > 1e-2 + 1e-15:
@@ -257,21 +264,21 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
             drift *= h_t
             xi += drift
         X[lo:hi] += xi
-        if hi < N:
-            return
-        dev = X[:, 0] - x0[0] if d == 1 else np.linalg.norm(X - x0, axis=1)
-        np.maximum(sup_dev, np.abs(dev, out=dev), out=sup_dev)
-        if keep_paths:
-            kept[:, j + 1] = X[:keep_paths]
-        if (j + 1) in snap_steps:
-            snapshots[snap_steps[j + 1]] = X.copy()
+        if hi == N:
+            dev = X[:, 0] - x0[0] if d == 1 else np.linalg.norm(X - x0, axis=1)
+            np.maximum(sup_dev, np.abs(dev, out=dev), out=sup_dev)
+            if keep_paths:
+                kept[:, j + 1] = X[:keep_paths]
+            if (j + 1) in snap_steps:
+                snapshots[snap_steps[j + 1]] = X.copy()
 
     # The worker takes the many short numpy calls and this thread the long
     # native draws: a thread woken between another's short calls seldom wins
     # the interpreter lock where waking takes ~0.1-1 ms (2-vCPU VMs), and the
     # reverse split ran slower than no thread.  The worker calls no public
     # function, so traced spans stay on this thread.
-    threaded = len(blocks) > 1 and len(os.sched_getaffinity(0)) > 1
+    threaded = (len(blocks) > 1 and min(chunk, N) * d >= _THREAD_MIN
+                and len(os.sched_getaffinity(0)) > 1)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:
         submit = pool.submit if pool is not None else _Done
         pending = None

@@ -168,8 +168,11 @@ _EULER_CASES = {
 }
 
 
-def _affinity(monkeypatch, cpus):
+def _cpus(monkeypatch, cpus):
+    """Pretend the process may use `cpus` CPUs, with blocks of any size
+    stepped on the worker thread when it has more than one."""
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(mc, "_THREAD_MIN", 1)
 
 
 def _ensemble_bytes(e):
@@ -180,7 +183,7 @@ def _ensemble_bytes(e):
 @pytest.mark.parametrize("case", sorted(_EULER_CASES))
 @pytest.mark.parametrize("chunk", [300, 1 << 20])
 def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
-    _affinity(monkeypatch, 2)  # steps on the worker thread
+    _cpus(monkeypatch, 2)  # steps on the worker thread
     b, x0 = _EULER_CASES[case]()
     kw = dict(x0=x0, T=0.06, h_t=0.005, N=700, seed=21,
               snapshot_times=[0.0, 0.03, 0.06], keep_paths=5, chunk=chunk)
@@ -191,7 +194,7 @@ def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
                                   kept.tobytes())
 
 
-def test_step_thread_follows_cpu_affinity(monkeypatch):
+def test_step_thread_follows_cpu_affinity_and_block_size(monkeypatch):
     pools = []
 
     class Recording(mc.ThreadPoolExecutor):
@@ -205,16 +208,18 @@ def test_step_thread_follows_cpu_affinity(monkeypatch):
               keep_paths=3, chunk=200)
     outs = {}
     for cpus in (1, 2):
-        _affinity(monkeypatch, cpus)
+        _cpus(monkeypatch, cpus)
         outs[cpus] = _ensemble_bytes(mc.simulate(b, **kw))
         assert pools == ([] if cpus == 1 else [1])
     assert outs[1] == outs[2]
     mc.simulate(b, **dict(kw, T=0.005, N=100))  # one block: nothing to overlap
+    monkeypatch.setattr(mc, "_THREAD_MIN", 201)  # blocks of 200 normals step in line
+    assert _ensemble_bytes(mc.simulate(b, **kw)) == outs[1]
     assert pools == [1]
 
 
 def test_simulate_leaves_no_thread_running(monkeypatch):
-    _affinity(monkeypatch, 2)
+    _cpus(monkeypatch, 2)
     b, x0 = _EULER_CASES["single-mode"]()
     kw = dict(x0=x0, T=0.05, h_t=0.005, N=300, seed=23, chunk=100)
     before = threading.active_count()
