@@ -6,12 +6,13 @@ component), so ensembles are bit-identical under any chunking or thread
 schedule.  The draws do not depend on the paths, so for large blocks
 `simulate` draws each block's normals one block ahead: the calling thread
 draws block k while one worker thread reads the drift and updates the paths
-for block k-1.  Results do not depend on it.  Derived statistics: kernel density estimates on the grid (the KDE
-of box-wrapped samples estimates exactly the periodized transition density),
-escape probabilities with Wilson intervals, and the path-modulus machinery
-(double-integral functional, modulus inequality checks, exponential
-sup-moments).  Fixed: `simulate` refines drift slices by `_UPSAMPLE`, and
-the reflection oracle sums `_IMAGE_TERMS` images on each side.
+for block k-1.  Results do not depend on it.  Derived statistics: kernel
+density estimates on the grid (the KDE of box-wrapped samples estimates
+exactly the periodized transition density), escape probabilities with
+Wilson intervals, and the path-modulus machinery (double-integral
+functional, modulus inequality checks, exponential sup-moments).  Fixed:
+`simulate` refines drift slices by `_UPSAMPLE`, and the reflection oracle
+sums `_IMAGE_TERMS` images on each side.
 """
 
 from __future__ import annotations
