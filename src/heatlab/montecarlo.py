@@ -3,23 +3,16 @@
 Euler-Maruyama under smooth (mollified) drift with counter-based randomness:
 every normal increment is addressed by its absolute index (path, step,
 component), so ensembles are bit-identical under any chunking or thread
-schedule.  The draws do not depend on the paths, so for large blocks
-`simulate` draws each block's normals one block ahead: the calling thread
-draws block k while one worker thread reads the drift and updates the paths
-for block k-1.  Results do not depend on it.  Derived statistics: kernel
-density estimates on the grid (the KDE of box-wrapped samples estimates
-exactly the periodized transition density), escape probabilities with
-Wilson intervals, and the path-modulus machinery (double-integral
-functional, modulus inequality checks, exponential sup-moments).  Fixed:
-`simulate` refines drift slices by `_UPSAMPLE`, and the reflection oracle
-sums `_IMAGE_TERMS` images on each side.
+schedule.  Derived statistics: kernel density estimates on the grid (the KDE
+of box-wrapped samples estimates exactly the periodized transition density),
+escape probabilities with Wilson intervals, and the path-modulus machinery
+(double-integral functional, modulus inequality checks, exponential
+sup-moments).  Fixed: `simulate` refines drift slices by `_UPSAMPLE`, and
+the reflection oracle sums `_IMAGE_TERMS` images on each side.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +39,6 @@ __all__ = [
 
 _UPSAMPLE = 16  # spectral refinement of the drift table
 _IMAGE_TERMS = 64  # image-series half-width of the reflection oracle
-# Normals per block from which `simulate` steps on a worker thread.  Handing
-# a block to a thread and back took 0.2 ms at the median and 3-7 ms at the
-# 90th percentile on a contended 2-vCPU VM, against 2-3 ms of work in a
-# 5e4-path block: there the thread lost to stepping in line, while 1e6-path
-# blocks (~70 ms of work) gained.
-_THREAD_MIN = 1 << 19
 
 
 # -- counter-based randomness --------------------------------------------------
@@ -147,7 +134,9 @@ class _DriftInterp:
         frac = np.subtract(pos, fl, out=pos)
         if self.spec.d == 1:
             f, a, w = fine[0], i0[:, 0], frac[:, 0]
-            f.take(a, out=lo, mode="clip")  # indices lie in [0, nf + 1]
+            # the 2-entry pad keeps indices in [0, nf + 1]; "clip" skips the
+            # buffered bounds pass of "raise" (58 against 107 us a 5e4 take)
+            f.take(a, out=lo, mode="clip")
             np.subtract(1, w, out=hi)
             lo *= hi
             a += 1
@@ -169,16 +158,6 @@ class _DriftInterp:
 
 
 # -- simulation ----------------------------------------------------------------
-
-
-class _Done:
-    """A call made at once on the calling thread, read like a pool's Future."""
-
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
 
 
 @dataclass
@@ -218,12 +197,6 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     Paths are unwrapped (positions live on the line/plane); the drift is read
     through periodic trigonometric interpolation.  Increment indexing is
     (step, path, component), so results are independent of `chunk`.
-
-    A block is one (step, chunk) pair.  When a block holds at least
-    `_THREAD_MIN` normals and the process may use more than one CPU (its
-    affinity), the calling thread draws the normals of block k while one
-    worker thread steps block k-1: drift read, update, sup deviation, kept
-    paths and snapshots.  Results do not depend on it.
     """
     spec = b_smooth.spec
     if h_t > 1e-2 + 1e-15:
@@ -252,45 +225,24 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     if 0 in snap_steps:
         snapshots[snap_steps[0]] = X.copy()
     sqdt = np.sqrt(h_t)
-    blocks = [(j, lo) for j in range(n_steps) for lo in range(0, N, chunk)]
-
-    def step(j, lo, xi):
-        """Advance paths lo..hi of step j by the normals xi (no public calls)."""
-        hi = min(lo + chunk, N)
-        xi = xi.reshape(hi - lo, d)
-        # X += drift * h_t + sqdt * xi, in place and bit for bit
-        xi *= sqdt
-        if sup_b > 0:
-            drift = interp.eval(t_idx[j], X[lo:hi])
-            drift *= h_t
-            xi += drift
-        X[lo:hi] += xi
-        if hi == N:
-            dev = X[:, 0] - x0[0] if d == 1 else np.linalg.norm(X - x0, axis=1)
-            np.maximum(sup_dev, np.abs(dev, out=dev), out=sup_dev)
-            if keep_paths:
-                kept[:, j + 1] = X[:keep_paths]
-            if (j + 1) in snap_steps:
-                snapshots[snap_steps[j + 1]] = X.copy()
-
-    # The worker takes the many short numpy calls and this thread the long
-    # native draws: a thread woken between another's short calls seldom wins
-    # the interpreter lock where waking takes ~0.1-1 ms (2-vCPU VMs), and the
-    # reverse split ran slower than no thread.  The worker calls no public
-    # function, so traced spans stay on this thread.
-    threaded = (len(blocks) > 1 and min(chunk, N) * d >= _THREAD_MIN
-                and len(os.sched_getaffinity(0)) > 1)
-    with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:
-        submit = pool.submit if pool is not None else _Done
-        pending = None
-        for j, lo in blocks:
-            # block k's normals are drawn here while block k-1 steps
-            xi = counter_normals(seed, (j * N + lo) * d, (min(lo + chunk, N) - lo) * d)
-            if pending is not None:
-                pending.result()
-            pending = submit(step, j, lo, xi)
-        if pending is not None:
-            pending.result()
+    for j in range(n_steps):
+        base = j * N * d
+        for lo in range(0, N, chunk):
+            hi = min(lo + chunk, N)
+            xi = counter_normals(seed, base + lo * d, (hi - lo) * d).reshape(hi - lo, d)
+            # X += drift * h_t + sqdt * xi, in place and bit for bit
+            xi *= sqdt
+            if sup_b > 0:
+                drift = interp.eval(t_idx[j], X[lo:hi])
+                drift *= h_t
+                xi += drift
+            X[lo:hi] += xi
+        dev = X[:, 0] - x0[0] if d == 1 else np.linalg.norm(X - x0, axis=1)
+        np.maximum(sup_dev, np.abs(dev, out=dev), out=sup_dev)
+        if keep_paths:
+            kept[:, j + 1] = X[:keep_paths]
+        if (j + 1) in snap_steps:
+            snapshots[snap_steps[j + 1]] = X.copy()
     return Ensemble(
         spec=spec, N=N, h_t=h_t, T=T, x0=x0, seed=seed, drift_tag=b_smooth.tag,
         snapshot_times=np.asarray(sorted(snapshots)), snapshots=snapshots,

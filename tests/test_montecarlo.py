@@ -1,7 +1,5 @@
 """Simulation, densities, escape probabilities, path modulus."""
 
-import threading
-
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -112,6 +110,28 @@ def test_drift_interp_matches_modulo_formula(d):
             assert out.tobytes() == _modulo_interp(interp, t, Y).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_drift_interp_gathers_inside_the_padded_table(d):
+    # eval gathers with mode="clip", which would hide an index past the
+    # table: the pad must hold entries nf and nf + 1, which a position
+    # wrapping to exactly L reads
+    spec = g.make_grid(d, 64, 8 * np.pi)
+    b = drifts.make_preset("time-varying", spec)
+    interp = mc._DriftInterp(b)
+    nf, L = interp.nf, spec.L
+    edge = np.full((1, d), np.nextafter(-L / 2, -np.inf))
+    assert np.floor(((edge + L / 2) % L) / interp.hf).max() == nf
+    table = interp._fine(b.time_index(0.5))
+    assert table.shape == (d,) + (nf + 2,) * d
+    wrapped = np.pad(table[(slice(None),) + (slice(0, nf),) * d],
+                     [(0, 0)] + [(0, 2)] * d, mode="wrap")
+    assert table.tobytes() == wrapped.tobytes()
+    if d == 1:  # the clipped gather still reads a NaN position as NaN
+        with np.errstate(invalid="ignore"):
+            out = interp.eval(b.time_index(0.5), np.vstack([edge, [[np.nan]]]))
+        assert np.isfinite(out[0, 0]) and np.isnan(out[1, 0])
+
+
 def test_drift_interp_keeps_one_slice():
     spec = g.make_grid(1, 128, 8 * np.pi)
     b = drifts.make_preset("time-varying", spec)
@@ -168,13 +188,6 @@ _EULER_CASES = {
 }
 
 
-def _cpus(monkeypatch, cpus):
-    """Pretend the process may use `cpus` CPUs, with blocks of any size
-    stepped on the worker thread when it has more than one."""
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(mc, "_THREAD_MIN", 1)
-
-
 def _ensemble_bytes(e):
     return ([e.snapshots[t].tobytes() for t in sorted(e.snapshots)],
             e.sup_dev.tobytes(), e.kept_paths.tobytes())
@@ -182,8 +195,7 @@ def _ensemble_bytes(e):
 
 @pytest.mark.parametrize("case", sorted(_EULER_CASES))
 @pytest.mark.parametrize("chunk", [300, 1 << 20])
-def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
-    _cpus(monkeypatch, 2)  # steps on the worker thread
+def test_simulate_matches_serial_euler_reference(case, chunk):
     b, x0 = _EULER_CASES[case]()
     kw = dict(x0=x0, T=0.06, h_t=0.005, N=700, seed=21,
               snapshot_times=[0.0, 0.03, 0.06], keep_paths=5, chunk=chunk)
@@ -192,63 +204,6 @@ def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
     assert sorted(e.snapshots) == [0.0, 0.03, 0.06]
     assert _ensemble_bytes(e) == ([s.tobytes() for s in snaps], sup_dev.tobytes(),
                                   kept.tobytes())
-
-
-def test_step_thread_follows_cpu_affinity_and_block_size(monkeypatch):
-    pools = []
-
-    class Recording(mc.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
-    b, x0 = _EULER_CASES["single-mode"]()
-    kw = dict(x0=x0, T=0.05, h_t=0.005, N=500, seed=22, snapshot_times=[0.025, 0.05],
-              keep_paths=3, chunk=200)
-    outs = {}
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        outs[cpus] = _ensemble_bytes(mc.simulate(b, **kw))
-        assert pools == ([] if cpus == 1 else [1])
-    assert outs[1] == outs[2]
-    mc.simulate(b, **dict(kw, T=0.005, N=100))  # one block: nothing to overlap
-    monkeypatch.setattr(mc, "_THREAD_MIN", 201)  # blocks of 200 normals step in line
-    assert _ensemble_bytes(mc.simulate(b, **kw)) == outs[1]
-    assert pools == [1]
-
-
-def test_simulate_leaves_no_thread_running(monkeypatch):
-    _cpus(monkeypatch, 2)
-    b, x0 = _EULER_CASES["single-mode"]()
-    kw = dict(x0=x0, T=0.05, h_t=0.005, N=300, seed=23, chunk=100)
-    before = threading.active_count()
-    mc.simulate(b, **kw)
-    assert threading.active_count() == before
-
-    draw, calls, boom = mc.counter_normals, [], RuntimeError("draw failed")
-
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise boom
-        return draw(*args)
-
-    monkeypatch.setattr(mc, "counter_normals", failing)
-    with pytest.raises(RuntimeError) as err:
-        mc.simulate(b, **kw)
-    assert err.value is boom
-    assert threading.active_count() == before
-    monkeypatch.setattr(mc, "counter_normals", draw)
-
-    def failing_step(self, t_idx, X):
-        raise boom
-
-    monkeypatch.setattr(mc._DriftInterp, "eval", failing_step)
-    with pytest.raises(RuntimeError) as err:
-        mc.simulate(b, **kw)
-    assert err.value is boom
-    assert threading.active_count() == before
 
 
 def test_simulate_guards(spec8pi_small):
