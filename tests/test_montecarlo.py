@@ -108,27 +108,15 @@ def test_drift_interp_matches_modulo_formula(d):
         for Y in (X, inside):  # inside: every position skips the modulo
             out = interp.eval(b.time_index(t), Y)
             assert out.tobytes() == _modulo_interp(interp, t, Y).tobytes()
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_drift_interp_gathers_inside_the_padded_table(d):
-    # eval gathers with mode="clip", which would hide an index past the
-    # table: the pad must hold entries nf and nf + 1, which a position
-    # wrapping to exactly L reads
-    spec = g.make_grid(d, 64, 8 * np.pi)
-    b = drifts.make_preset("time-varying", spec)
-    interp = mc._DriftInterp(b)
-    nf, L = interp.nf, spec.L
-    edge = np.full((1, d), np.nextafter(-L / 2, -np.inf))
-    assert np.floor(((edge + L / 2) % L) / interp.hf).max() == nf
-    table = interp._fine(b.time_index(0.5))
-    assert table.shape == (d,) + (nf + 2,) * d
-    wrapped = np.pad(table[(slice(None),) + (slice(0, nf),) * d],
-                     [(0, 0)] + [(0, 2)] * d, mode="wrap")
-    assert table.tobytes() == wrapped.tobytes()
-    if d == 1:  # the clipped gather still reads a NaN position as NaN
+    # the d=1 gather clips its indices, so the table itself must hold
+    # entries nf and nf + 1, which a position wrapping to exactly L reads
+    nf, (_, table) = interp.nf, interp._cache
+    assert np.floor(((edges[2] + L / 2) % L) / interp.hf) == nf
+    assert table.tobytes() == np.pad(table[(slice(None),) + (slice(0, nf),) * d],
+                                     [(0, 0)] + [(0, 2)] * d, mode="wrap").tobytes()
+    if d == 1:  # a NaN position still reads as NaN
         with np.errstate(invalid="ignore"):
-            out = interp.eval(b.time_index(0.5), np.vstack([edge, [[np.nan]]]))
+            out = interp.eval(b.time_index(1.0), np.array([[edges[2]], [np.nan]]))
         assert np.isfinite(out[0, 0]) and np.isnan(out[1, 0])
 
 
