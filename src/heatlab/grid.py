@@ -119,10 +119,26 @@ def freq_sq(spec: GridSpec) -> np.ndarray:
 
 
 def fft(spec: GridSpec, values: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-spec.d, 0))
-    return spec.cell * np.fft.fftn(values, axes=axes)
+    """Continuum-normalized spectrum h^d * FFT(values) over the last d axes.
+
+    Leading axes are a stack of fields.  Complex input is transformed as it
+    is; real input is cast to complex once, which is cheaper than numpy's
+    buffered cast inside the transform and gives the same bits.  The result
+    is a fresh array, scaled in place; `values` is never written.
+    """
+    if not np.iscomplexobj(values):
+        values = values.astype(complex)
+    out = np.fft.fftn(values, axes=tuple(range(-spec.d, 0)))
+    out *= spec.cell
+    return out
+
 
 def ifft(spec: GridSpec, fhat: np.ndarray) -> np.ndarray:
+    """Physical field Re(IFFT(fhat)) / h^d over the last d axes, the inverse of `fft`.
+
+    Leading axes are a stack of spectra.  The result is a fresh real array;
+    `fhat` is never written.
+    """
     axes = tuple(range(-spec.d, 0))
     return np.fft.ifftn(fhat, axes=axes).real / spec.cell
 

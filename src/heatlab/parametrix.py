@@ -25,7 +25,12 @@ spectrum `_neg_div_hat` of -div(b_s v_s) on that stack, the
 exponential-trapezoid recurrence `_trapezoid` on spectra and the heat stack
 `_heat_stack`.  The families Psi^{y,k} stay spectral: each term takes one
 batched inverse transform of the G_k stack and one forward transform per
-drift component.
+drift component.  The engine writes into preallocated stacks and updates
+them in place: the drift products are formed directly in complex stacks, so
+no transform casts real input, and the trapezoid fills its node stack (or
+one rolling slice, for the Richardson pass) through one panel buffer.  The
+operation order is that of the formulas, so the results are the same bits
+as with a fresh temporary per operation.
 
 Sources may be batched: `y` with shape (B, d) yields fields with a leading
 batch axis throughout.  A batch runs in blocks of 32 sources (`_SOURCE_BLOCK`)
@@ -81,25 +86,50 @@ def _neg_div_hat(spec: g.GridSpec, bs: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     v is (m+1, *shape), or (m+1, B, *shape) with a batch axis after the nodes.
     The derivative zeroes the Nyquist mode (`grid.deriv_multiplier`), so the
-    spectrum stays that of a real field.
+    spectrum stays that of a real field.  Each product b_c v is formed
+    directly in a complex stack, so the transform takes it without a cast;
+    the transform is multiplied in place by -i xi_c and the components are
+    summed in place.  Negation is exact, so this equals -sum_c (i xi_c) FFT(b_c v)
+    bit for bit, up to the sign of a zero.
     """
     bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
-    return -sum(g.deriv_multiplier(spec, mu) * g.fft(spec, bs[:, c] * v)
-                for c, mu in enumerate(np.eye(spec.d, dtype=int)))
+    out = None
+    for c, mu in enumerate(np.eye(spec.d, dtype=int)):
+        f_hat = g.fft(spec, np.multiply(bs[:, c], v, out=np.empty(v.shape, complex)))
+        f_hat *= -g.deriv_multiplier(spec, mu)
+        if out is None:
+            out = f_hat
+        else:
+            out += f_hat
+    return out
 
 
-def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Spectra of G_j = int_0^{s_j} P_{s_j-r} w_r dr on every node.
+def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
+               last: bool = False) -> np.ndarray:
+    """Spectra of G_j = int_0^{s_j} P_{s_j-r} w_r dr on every node, or of
+    G_m on the last node only when `last` is set.
 
     Exponential trapezoid G_{j+1} = H(dt_j) (G_j + dt_j/2 w_j) + dt_j/2 w_{j+1};
-    the heat factors of all panels come from one exponential.
+    the heat factors of all panels come from one exponential.  Each node is
+    written in place into a preallocated stack through one panel buffer, in
+    the operation order of the formula; with `last` the stack is one rolling
+    slice.  `w_hat` is never written.
     """
     dts = np.diff(times)
     H = g.heat_multiplier(spec, dts)
-    G_hat = np.zeros_like(w_hat)
+    rows = 1 if last else len(times)
+    G_hat = np.empty((rows,) + w_hat.shape[1:], w_hat.dtype)
+    G_hat[0] = 0
+    panel = np.empty_like(G_hat[0])
     for j, dt in enumerate(dts):
-        G_hat[j + 1] = H[j] * (G_hat[j] + (dt / 2.0) * w_hat[j]) + (dt / 2.0) * w_hat[j + 1]
-    return G_hat
+        half = dt / 2.0
+        np.multiply(w_hat[j], half, out=panel)
+        panel += G_hat[j % rows]
+        panel *= H[j]
+        nxt = G_hat[(j + 1) % rows]
+        np.multiply(w_hat[j + 1], half, out=nxt)
+        nxt += panel
+    return G_hat[0] if last else G_hat
 
 
 def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -113,7 +143,7 @@ def _richardson_mismatch(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
     """(max|coarse - fine|, max|fine|) at the last node, where `fine` is the
     trapezoid on all nodes (physical) and coarse the trapezoid on the
     even-index subgrid.  Both are maxima, so blocks of sources combine by max."""
-    coarse = g.ifft(spec, _trapezoid(spec, w_hat[::2], times[::2])[-1])
+    coarse = g.ifft(spec, _trapezoid(spec, w_hat[::2], times[::2], last=True))
     return float(np.abs(coarse - fine).max()), float(np.abs(fine).max())
 
 

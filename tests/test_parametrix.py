@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from heatlab import drifts, grid as g, parametrix as px
+from heatlab import cauchy as cy, drifts, grid as g, parametrix as px
 from heatlab.dyadic import DriftField
 from heatlab.errors import NoDecay, QuadratureDivergence, WraparoundRisk
 
@@ -276,6 +276,101 @@ def test_series_transforms_per_term_do_not_grow_with_nodes(spec8pi_small, monkey
     assert per_term[32] == per_term[128] == 3 + spec8pi_small.d
     assert count(3, 32) == count(3, 128)
 
+
+
+# -- the engine against its formulas ---------------------------------------------
+
+
+def _neg_div_hat_formula(spec, bs, v):
+    # -sum_c D_c * h^d FFT(b_c v) on the real product, with fresh temporaries
+    axes = tuple(range(-spec.d, 0))
+    bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
+    return -sum(g.deriv_multiplier(spec, mu) * (spec.cell * np.fft.fftn(bs[:, c] * v, axes=axes))
+                for c, mu in enumerate(np.eye(spec.d, dtype=int)))
+
+
+def _trapezoid_formula(spec, w_hat, times):
+    # the recurrence on a zeroed stack, one fresh temporary per operation
+    dts = np.diff(times)
+    H = g.heat_multiplier(spec, dts)
+    G_hat = np.zeros_like(w_hat)
+    for j, dt in enumerate(dts):
+        G_hat[j + 1] = H[j] * (G_hat[j] + (dt / 2.0) * w_hat[j]) + (dt / 2.0) * w_hat[j + 1]
+    return G_hat
+
+
+def _engine_case(name):
+    # (spec, node times, drift slices, physical stack v, its family spectra)
+    if name == "single-mode-2d":
+        b, y = _swapped_single_mode_2d(), np.array([0.4, -0.6])
+    else:
+        spec = g.make_grid(1, 128, 8 * np.pi)
+        b = drifts.make_preset("multi-mode", spec)
+        y = 0.3 if name == "one-source" else np.linspace(-10.0, 10.0, 40).reshape(-1, 1)
+    s, bs, dhat, psi_hat = px._first_family(b, 0.5, y, 32)
+    v = g.ifft(b.spec, px._trapezoid(b.spec, psi_hat, s))
+    return b.spec, s, bs, v, psi_hat
+
+
+_ENGINE_CASES = ["one-source", "batch-40", "single-mode-2d"]
+
+
+@pytest.mark.parametrize("case", _ENGINE_CASES)
+def test_neg_div_hat_is_bit_identical_to_its_formula(case):
+    spec, _, bs, v, _ = _engine_case(case)
+    assert all(np.abs(bs[:, c]).max() > 0 for c in range(spec.d))  # drift on every axis
+    inputs = (bs.copy(), v.copy())
+    got = px._neg_div_hat(spec, bs, v)
+    assert got.dtype == np.complex128 and got.shape == v.shape
+    assert np.array_equal(got, _neg_div_hat_formula(spec, bs, v))
+    assert np.array_equal(bs, inputs[0]) and np.array_equal(v, inputs[1])
+
+
+@pytest.mark.parametrize("case", _ENGINE_CASES)
+def test_trapezoid_is_bit_identical_to_its_formula(case):
+    spec, s, _, _, psi_hat = _engine_case(case)
+    kept = psi_hat.copy()
+    assert np.array_equal(px._trapezoid(spec, psi_hat, s), _trapezoid_formula(spec, psi_hat, s))
+    # the strided even-node view of the Richardson pass, as a stack and as its last node
+    coarse = _trapezoid_formula(spec, psi_hat[::2], s[::2])
+    assert np.array_equal(px._trapezoid(spec, psi_hat[::2], s[::2]), coarse)
+    assert np.array_equal(px._trapezoid(spec, psi_hat[::2], s[::2], last=True), coarse[-1])
+    fine = g.ifft(spec, _trapezoid_formula(spec, psi_hat, s)[-1])
+    expect = g.ifft(spec, coarse[-1])
+    assert px._richardson_mismatch(spec, psi_hat, s, fine) == (
+        float(np.abs(expect - fine).max()), float(np.abs(fine).max()))
+    assert np.array_equal(psi_hat, kept)
+
+
+def _record_fft_inputs(monkeypatch):
+    # dtypes handed to grid.fft and, below it, to numpy's forward transform
+    seen = {"grid.fft": [], "np.fft.fftn": []}
+
+    def recording(key, orig, pick):
+        def wrapper(*args, **kwargs):
+            seen[key].append(pick(args).dtype)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", recording("np.fft.fftn", np.fft.fftn, lambda a: a[0]))
+    monkeypatch.setattr(g, "fft", recording("grid.fft", g.fft, lambda a: a[1]))
+    return seen
+
+
+def test_hot_path_transforms_only_complex_stacks(spec8pi_small, monkeypatch):
+    # the products are formed in complex stacks: no real array reaches a
+    # forward transform, so neither grid.fft nor numpy casts on the hot path
+    b = drifts.make_preset("multi-mode", spec8pi_small)
+    sources = np.linspace(-10.0, 10.0, 40).reshape(-1, 1)
+    times = px.time_nodes(0.25, 16)
+    data = g.gaussian_shifted(spec8pi_small, 0.05, 0.3).values
+    base = cy.TimeField(spec8pi_small, times, px._heat_stack(spec8pi_small,
+                                                             g.fft(spec8pi_small, data), times))
+    seen = _record_fft_inputs(monkeypatch)
+    px.transition_matrix(b, 0.5, sources, K_max=3, m=32)
+    cy.theta_apply(base, b, base)
+    assert seen["grid.fft"] and seen["np.fft.fftn"]
+    assert set(seen["grid.fft"]) == set(seen["np.fft.fftn"]) == {np.dtype(complex)}
 
 
 # -- blocked batches ------------------------------------------------------------
