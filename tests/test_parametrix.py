@@ -307,7 +307,7 @@ def _engine_case(name):
         spec = g.make_grid(1, 128, 8 * np.pi)
         b = drifts.make_preset("multi-mode", spec)
         y = 0.3 if name == "one-source" else np.linspace(-10.0, 10.0, 40).reshape(-1, 1)
-    s, bs, dhat, psi_hat = px._first_family(b, 0.5, y, 32)
+    s, bs, _, psi_hat = px._first_family(b, 0.5, y, 32)
     v = g.ifft(b.spec, px._trapezoid(b.spec, psi_hat, s))
     return b.spec, s, bs, v, psi_hat
 
