@@ -121,13 +121,11 @@ def freq_sq(spec: GridSpec) -> np.ndarray:
 def fft(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """Continuum-normalized spectrum h^d * FFT(values) over the last d axes.
 
-    Leading axes are a stack of fields.  Complex input is transformed as it
-    is; real input is cast to complex once, which is cheaper than numpy's
-    buffered cast inside the transform and gives the same bits.  The result
-    is a fresh array, scaled in place; `values` is never written.
+    Leading axes are a stack of fields.  Complex input is transformed without
+    a cast; real input is cast by numpy inside the transform, which costs
+    about as much as the transform itself, so hot paths form complex stacks.
+    The result is a fresh array, scaled in place; `values` is never written.
     """
-    if not np.iscomplexobj(values):
-        values = values.astype(complex)
     out = np.fft.fftn(values, axes=tuple(range(-spec.d, 0)))
     out *= spec.cell
     return out
