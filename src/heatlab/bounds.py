@@ -23,8 +23,8 @@ from scipy.special import gammaln, logsumexp
 from . import grid as g
 from .dyadic import DriftField, drift_norms
 from .errors import EnvelopeViolated
-from .parametrix import (_first_family, _neg_div_hat, _richardson_gap, _richardson_mismatch,
-                         _trapezoid, transition_matrix)
+from .parametrix import (_first_family, _half, _neg_div_hat, _richardson_gap,
+                         _richardson_mismatch, _trapezoid, transition_matrix)
 
 __all__ = [
     "beta_fn",
@@ -175,8 +175,15 @@ def series_bound_L(beta: float) -> float:
 
 
 def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
-    """Per node of a spectral stack: sum over derivative multi-indices of order
-    `order` of the masked sup of |derivative field| / envelope."""
+    """Per node of a stack of half spectra (the engine's): sum over derivative
+    multi-indices of order `order` of the masked sup of |derivative field| /
+    envelope.
+
+    The multipliers are the full-grid (i xi)^mu cut to the half spectrum.  The
+    inverse transform reads the Nyquist bin as real, so an odd-order
+    derivative drops that mode, as the real part of a full inverse transform
+    would.
+    """
     comps = g.freq_components(spec)
     if order == 0:
         muls = [np.ones(spec.shape)]
@@ -187,7 +194,7 @@ def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
                 for a in range(spec.d) for b in range(spec.d)]
     total = 0.0
     for mlt in muls:
-        vals = g.ifft(spec, mlt * fields_hat)
+        vals = g.irfft(spec, _half(spec, mlt) * fields_hat)
         total = total + (np.abs(vals)[:, mask] / pc_vals[mask]).max(axis=1)
     return total
 
@@ -199,7 +206,7 @@ def _families(b: DriftField, t: float, y: float, m: int):
     s, bs, _, psi_hat = _first_family(b, t, y, m)
     while True:
         yield s, psi_hat
-        G = g.ifft(spec, _trapezoid(spec, psi_hat, s))
+        G = g.irfft(spec, _trapezoid(spec, psi_hat, s))
         _richardson_gap(*_richardson_mismatch(spec, psi_hat, s, G[-1]))
         psi_hat = _neg_div_hat(spec, bs, G)
 
@@ -228,7 +235,7 @@ def _ratio_stacks(b: DriftField, t: float, k_max: int, y_points, pc: g.GridField
             s, psi_hat = next(walk)
             pc_y = np.roll(pc.values, int(round(y / spec.h)))
             mask = pc_y > I_RATIO_FLOOR * pc_y.max()
-            u_hat = g.heat_multiplier(spec, t - s) * psi_hat
+            u_hat = _half(spec, g.heat_multiplier(spec, t - s)) * psi_hat
             stacks.append((s, [_sup_ratio_norms(spec, u_hat, pc_y, mask, order)
                                for order in (0, 1, 2)]))
         yield stacks

@@ -10,7 +10,7 @@ chosen so the map contracts with factor <= 1/2; the contraction constant is
 calibrated from actual iterate ratios rather than from the pessimistic a
 priori exponent.  The data term P_s phi (the heat base) is built once per
 slab; one application `theta_apply` adds to it the Duhamel integral of
--div(b v), formed on the spectral engine shared with `parametrix` (drift
+-div(b v), formed on the half-spectrum engine shared with `parametrix` (drift
 lookup, -div(b v) spectrum, exponential trapezoid) for every node at once,
 with one inverse transform back to physical space.  The calibration and every
 segment run the same Picard iterate sequence; when the first segment's nodes
@@ -83,7 +83,8 @@ def theta_apply(base: TimeField, b: DriftField, v: TimeField,
 
     `base` is the heat flow P_s phi of the data on the same nodes.  G[v] is
     the exponential trapezoid of w_s = -div(b_{offset+s} v_s), formed on the
-    whole node stack in spectral space and returned in one transform.
+    whole node stack on half spectra (one `grid.rfft` per drift component)
+    and returned in one `grid.irfft`.
     `offset` shifts the drift clock (segment restarts evaluate the drift at
     absolute time offset + s).
     """
@@ -91,7 +92,7 @@ def theta_apply(base: TimeField, b: DriftField, v: TimeField,
         raise ValueError("the heat base and v sit on different time nodes")
     spec = v.spec
     w_hat = _neg_div_hat(spec, b.at_time(offset + v.times), v.values)
-    G = g.ifft(spec, _trapezoid(spec, w_hat, v.times))
+    G = g.irfft(spec, _trapezoid(spec, w_hat, v.times))
     return TimeField(spec, v.times, base.values + G)
 
 
@@ -142,7 +143,7 @@ def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, times: np.ndarr
 
     The heat base is built once; each step yields (v_k, sup |v_k - v_{k-1}|).
     """
-    base = TimeField(spec, times, _heat_stack(spec, g.fft(spec, data), times))
+    base = TimeField(spec, times, _heat_stack(spec, g.rfft(spec, data), times))
     v = base
     while True:
         nxt = theta_apply(base, b, v, offset)

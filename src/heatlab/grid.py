@@ -123,7 +123,9 @@ def fft(spec: GridSpec, values: np.ndarray) -> np.ndarray:
 
     Leading axes are a stack of fields.  Complex input is transformed without
     a cast; real input is cast by numpy inside the transform, which costs
-    about as much as the transform itself, so hot paths form complex stacks.
+    about as much as the transform itself.  The series and fixed-point engine
+    therefore keeps its real fields on half spectra (`rfft`, `irfft`); the
+    full spectrum serves the dyadic blocks, the KDE and the Gaussians.
     The result is a fresh array, scaled in place; `values` is never written.
     """
     out = np.fft.fftn(values, axes=tuple(range(-spec.d, 0)))
@@ -139,6 +141,30 @@ def ifft(spec: GridSpec, fhat: np.ndarray) -> np.ndarray:
     """
     axes = tuple(range(-spec.d, 0))
     return np.fft.ifftn(fhat, axes=axes).real / spec.cell
+
+
+def rfft(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Half spectrum h^d * RFFT(values) of real fields over the last d axes.
+
+    The normalization of `fft`, of which it holds the bins [..., :n//2+1] of
+    the last axis; the rest follow by Hermitian symmetry.  Leading axes are a
+    stack of fields.  The result is a fresh array, scaled in place; `values`
+    is never written.
+    """
+    out = np.fft.rfftn(values, axes=tuple(range(-spec.d, 0)))
+    out *= spec.cell
+    return out
+
+
+def irfft(spec: GridSpec, fhat: np.ndarray) -> np.ndarray:
+    """Real field IRFFT(fhat) / h^d over the last d axes, the inverse of `rfft`.
+
+    Leading axes are a stack of half spectra.  The result is a fresh real
+    array, scaled in place; `fhat` is never written.
+    """
+    out = np.fft.irfftn(fhat, s=spec.shape, axes=tuple(range(-spec.d, 0)))
+    out /= spec.cell
+    return out
 
 
 def heat_multiplier(spec: GridSpec, t) -> np.ndarray:

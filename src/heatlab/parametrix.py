@@ -25,12 +25,24 @@ spectrum `_neg_div_hat` of -div(b_s v_s) on that stack, the
 exponential-trapezoid recurrence `_trapezoid` on spectra and the heat stack
 `_heat_stack`.  The families Psi^{y,k} stay spectral: each term takes one
 batched inverse transform of the G_k stack and one forward transform per
-drift component.  The engine writes into preallocated stacks and updates
-them in place: the drift products are formed directly in complex stacks, so
-no transform casts real input, and the trapezoid fills its node stack (or
-one rolling slice, for the Richardson pass) through one panel buffer.  The
-operation order is that of the formulas, so the results are the same bits
-as with a fresh temporary per operation.
+drift component.
+
+Every field of the engine is real, so it keeps half spectra, the bins
+[..., :n//2+1] of the last axis (`grid.rfft`, `grid.irfft`).  The drift
+products b_c v are real stacks.  The heat and derivative multipliers are the
+full ones sliced to the half spectrum (`_half`); this is exact, because
+|xi|^2 is even and `grid.deriv_multiplier` zeroes the odd-order Nyquist mode,
+so both map the spectrum of a real field to the spectrum of a real field.
+The source spectrum must not be sliced: `grid.delta_hat` of an off-grid
+source is not Hermitian on its Nyquist rows, and in d=2 its slice is not the
+half spectrum of any real field.  The engine takes the half spectrum of the
+real field that the full spectrum stands for, rfft(ifft(delta_hat)).
+
+The engine writes into preallocated stacks and updates them in place: one
+real product buffer serves every drift component, and the trapezoid fills
+its node stack (or one rolling slice, for the Richardson pass) through one
+panel buffer.  The operation order is that of the formulas, so the results
+are the same bits as with a fresh temporary per operation.
 
 Sources may be batched: `y` with shape (B, d) yields fields with a leading
 batch axis throughout.  A batch runs in blocks of 32 sources (`_SOURCE_BLOCK`)
@@ -81,22 +93,28 @@ def time_nodes(t: float, m: int) -> np.ndarray:
 # -- the spectral Duhamel engine ----------------------------------------------
 
 
+def _half(spec: g.GridSpec, mult: np.ndarray) -> np.ndarray:
+    """The half-spectrum bins [..., :n//2+1] of a full-grid multiplier."""
+    return mult[..., : spec.n // 2 + 1]
+
+
 def _neg_div_hat(spec: g.GridSpec, bs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Spectrum of -div(b_s v_s) over a node stack, one transform per component.
+    """Half spectrum of -div(b_s v_s) over a node stack, one transform per
+    component.
 
     v is (m+1, *shape), or (m+1, B, *shape) with a batch axis after the nodes.
-    The derivative zeroes the Nyquist mode (`grid.deriv_multiplier`), so the
-    spectrum stays that of a real field.  Each product b_c v is formed
-    directly in a complex stack, so the transform takes it without a cast;
-    the transform is multiplied in place by -i xi_c and the components are
-    summed in place.  Negation is exact, so this equals -sum_c (i xi_c) FFT(b_c v)
-    bit for bit, up to the sign of a zero.
+    Each product b_c v is formed in one real buffer shared by the components;
+    its half spectrum is multiplied in place by -i xi_c, whose Nyquist mode is
+    zeroed (`grid.deriv_multiplier`), and the components are summed in place.
+    Negation is exact, so this equals -sum_c (i xi_c) RFFT(b_c v) bit for bit,
+    up to the sign of a zero.
     """
     bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
+    prod = np.empty(v.shape)
     out = None
     for c, mu in enumerate(np.eye(spec.d, dtype=int)):
-        f_hat = g.fft(spec, np.multiply(bs[:, c], v, out=np.empty(v.shape, complex)))
-        f_hat *= -g.deriv_multiplier(spec, mu)
+        f_hat = g.rfft(spec, np.multiply(bs[:, c], v, out=prod))
+        f_hat *= -_half(spec, g.deriv_multiplier(spec, mu))
         if out is None:
             out = f_hat
         else:
@@ -116,7 +134,7 @@ def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
     slice.  `w_hat` is never written.
     """
     dts = np.diff(times)
-    H = g.heat_multiplier(spec, dts)
+    H = _half(spec, g.heat_multiplier(spec, dts))
     rows = 1 if last else len(times)
     G_hat = np.empty((rows,) + w_hat.shape[1:], w_hat.dtype)
     G_hat[0] = 0
@@ -133,9 +151,10 @@ def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
 
 
 def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """P_s f at every node s from the spectrum of f: one batched inverse transform."""
+    """P_s f at every node s from the half spectrum of f: one batched inverse
+    transform."""
     H = g.heat_multiplier(spec, times.reshape((-1,) + (1,) * (f_hat.ndim - spec.d)))
-    return g.ifft(spec, H * f_hat)
+    return g.irfft(spec, _half(spec, H) * f_hat)
 
 
 def _richardson_mismatch(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
@@ -143,7 +162,7 @@ def _richardson_mismatch(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
     """(max|coarse - fine|, max|fine|) at the last node, where `fine` is the
     trapezoid on all nodes (physical) and coarse the trapezoid on the
     even-index subgrid.  Both are maxima, so blocks of sources combine by max."""
-    coarse = g.ifft(spec, _trapezoid(spec, w_hat[::2], times[::2], last=True))
+    coarse = g.irfft(spec, _trapezoid(spec, w_hat[::2], times[::2], last=True))
     return float(np.abs(coarse - fine).max()), float(np.abs(fine).max())
 
 
@@ -168,10 +187,12 @@ def _check_horizon(b: DriftField, t: float):
 
 
 def _first_family(b: DriftField, t: float, y, m: int):
-    """Node grid, source spectra and Psi^{y,1} spectra for horizon t.
+    """Node grid, source half spectra and Psi^{y,1} half spectra for horizon t.
 
     Returns (s_nodes, drift slices, delta spectra, Psi^1 spectra); the spectra
-    carry a batch axis when y has shape (B, d).
+    carry a batch axis when y has shape (B, d).  The source half spectrum is
+    that of the real field the full `grid.delta_hat` stands for (module
+    docstring).
     """
     _check_horizon(b, t)
     spec = b.spec
@@ -179,6 +200,7 @@ def _first_family(b: DriftField, t: float, y, m: int):
     dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
     if y.ndim != 2:
         dhat = dhat[0]
+    dhat = g.rfft(spec, g.ifft(spec, dhat))
     s = time_nodes(t, m)
     bs = b.at_time(s)
     return s, bs, dhat, _neg_div_hat(spec, bs, _heat_stack(spec, dhat, s))
@@ -210,19 +232,19 @@ def _block_terms(b: DriftField, t: float, y: np.ndarray, m: int):
     """
     spec = b.spec
     s, bs, dhat, psi_hat = _first_family(b, t, y, m)
-    gamma_hat = dhat * g.heat_multiplier(spec, t)
+    gamma_hat = dhat * _half(spec, g.heat_multiplier(spec, t))
     while True:
         G_hat = _trapezoid(spec, psi_hat, s)
-        term = g.ifft(spec, G_hat[-1])
+        term = g.irfft(spec, G_hat[-1])
         mismatch, scale = _richardson_mismatch(spec, psi_hat, s, term)
         del psi_hat  # batched stacks are large: free each one once it is used
         gamma_hat = gamma_hat + G_hat[-1]
         if not (yield term, mismatch, scale):
             break
-        G = g.ifft(spec, G_hat)
+        G = g.irfft(spec, G_hat)
         del G_hat
         psi_hat = _neg_div_hat(spec, bs, G)
-    yield g.ifft(spec, gamma_hat)
+    yield g.irfft(spec, gamma_hat)
 
 
 def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,

@@ -260,24 +260,25 @@ def _old_i_empirical(b, t, k, i, beta_sel, y_points, m, c=2.0):
     """Integrand node by node, one single-slice transform per multiplier; the
     families come straight from the engine pieces."""
     spec = b.spec
-    xi = g.freq_components(spec)[0]
-    muls = {0: [np.ones(spec.shape)], 1: [1j * xi], 2: [(1j * xi) * (1j * xi)]}
+    half = spec.n // 2 + 1  # the engine's half spectra
+    xi = g.freq_components(spec)[0][:half]
+    muls = {0: [np.ones(half)], 1: [1j * xi], 2: [(1j * xi) * (1j * xi)]}
     pc = g.gaussian(spec, c * t)
     best = 0.0
     for y in y_points:
         s, bs, _, psi_hat = px._first_family(b, t, float(y), m)
         for _ in range(k - 1):
-            psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, px._trapezoid(spec, psi_hat, s)))
+            psi_hat = px._neg_div_hat(spec, bs, g.irfft(spec, px._trapezoid(spec, psi_hat, s)))
         pc_y = np.roll(pc.values, int(round(y / spec.h)))
         mask = pc_y > bounds.I_RATIO_FLOOR * pc_y.max()
         integrand = np.empty(len(s))
         for j, sj in enumerate(s):
-            u_hat = g.heat_multiplier(spec, t - sj) * psi_hat[j]
+            u_hat = g.heat_multiplier(spec, t - sj)[:half] * psi_hat[j]
             A = []
             for order in (i, i + 1):
                 total = 0.0
                 for mlt in muls[order]:
-                    vals = g.ifft(spec, mlt * u_hat)
+                    vals = g.irfft(spec, mlt * u_hat)
                     total += float((np.abs(vals)[mask] / pc_y[mask]).max())
                 A.append(total)
             integrand[j] = A[0] ** (1.0 - beta_sel) * A[1] ** beta_sel

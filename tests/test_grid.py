@@ -102,6 +102,29 @@ def test_fft_is_bit_identical_to_the_scaled_numpy_transform(spec40, spec2d, kind
         assert np.array_equal(values, kept) and not np.shares_memory(got, values)
 
 
+def test_half_spectrum_transforms_match_the_full_ones(spec40, spec2d):
+    # rfft is h^d * rfftn bit for bit and holds the first n//2+1 bins of the
+    # last axis of fft; irfft inverts it; both return fresh arrays
+    rng = np.random.default_rng(6)
+    for spec, shape in ((spec40, (7, 3, spec40.n)), (spec2d, (4, spec2d.n, spec2d.n))):
+        axes = tuple(range(-spec.d, 0))
+        values = rng.standard_normal(shape)
+        kept = values.copy()
+        half = g.rfft(spec, values)
+        assert half.shape == shape[:-1] + (spec.n // 2 + 1,)
+        assert np.array_equal(half, spec.cell * np.fft.rfftn(values, axes=axes))
+        full = g.fft(spec, values)
+        assert np.abs(half - full[..., : spec.n // 2 + 1]).max() <= 1e-13 * np.abs(full).max()
+        assert np.array_equal(values, kept) and not np.shares_memory(half, values)
+        back_kept = half.copy()
+        back = g.irfft(spec, half)
+        assert back.dtype == np.float64 and back.shape == shape
+        assert np.array_equal(back, np.fft.irfftn(half, s=spec.shape, axes=axes) / spec.cell)
+        assert np.abs(back - values).max() <= 1e-13 * np.abs(values).max()
+        assert np.abs(back - g.ifft(spec, full)).max() <= 1e-13 * np.abs(values).max()
+        assert np.array_equal(half, back_kept) and not np.shares_memory(back, half)
+
+
 def test_semigroup_identity_and_law(spec40):
     rng = np.random.default_rng(0)
     f = g.GridField(spec40, rng.standard_normal(spec40.shape))

@@ -14,10 +14,10 @@ def _families(b, t, k_max, m=128):
     """Node times and Psi^{0,k} in physical space, k = 1..k_max, via the engine."""
     spec = b.spec
     s, bs, _, psi_hat = px._first_family(b, t, 0.0, m)
-    fams = [g.ifft(spec, psi_hat)]
+    fams = [g.irfft(spec, psi_hat)]
     for _ in range(k_max - 1):
-        psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, px._trapezoid(spec, psi_hat, s)))
-        fams.append(g.ifft(spec, psi_hat))
+        psi_hat = px._neg_div_hat(spec, bs, g.irfft(spec, px._trapezoid(spec, psi_hat, s)))
+        fams.append(g.irfft(spec, psi_hat))
     return s, fams
 
 
@@ -124,8 +124,8 @@ def test_quadrature_divergence_detected(spec8pi_small):
     spec = spec8pi_small
     s = px.time_nodes(1.0, 8)
     base = g.gaussian(spec, 0.5).values
-    psi_hat = g.fft(spec, np.stack([(-1.0) ** j * base for j in range(len(s))]))
-    fine = g.ifft(spec, px._trapezoid(spec, psi_hat, s)[-1])
+    psi_hat = g.rfft(spec, np.stack([(-1.0) ** j * base for j in range(len(s))]))
+    fine = g.irfft(spec, px._trapezoid(spec, psi_hat, s)[-1])
     with pytest.raises(QuadratureDivergence):
         px._richardson_gap(*px._richardson_mismatch(spec, psi_hat, s, fine))
 
@@ -141,15 +141,16 @@ def test_series_term_vs_family_propagation(spec8pi_small):
 
 
 def test_correction_spectra_are_those_of_real_fields(spec8pi_small):
-    # the I-tables differentiate the Psi^k spectra directly: a non-Hermitian
-    # Nyquist residue would show there as a grid-scale sawtooth
+    # the I-tables differentiate the Psi^k spectra directly: an imaginary
+    # residue in the DC or Nyquist bin of a half spectrum would be dropped by
+    # the inverse transform instead of showing in the field
     spec = spec8pi_small
     b = drifts.make_preset("multi-mode", spec)
     s, bs, _, psi_hat = px._first_family(b, 0.5, 1.9, 64)
     for _ in range(3):
-        real = g.fft(spec, g.ifft(spec, psi_hat))
+        real = g.rfft(spec, g.irfft(spec, psi_hat))
         assert np.abs(psi_hat - real).max() <= 1e-13 * np.abs(psi_hat).max()
-        psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, px._trapezoid(spec, psi_hat, s)))
+        psi_hat = px._neg_div_hat(spec, bs, g.irfft(spec, px._trapezoid(spec, psi_hat, s)))
 
 
 def test_chapman_kolmogorov_zero_and_constant(spec8pi_small):
@@ -243,6 +244,27 @@ def test_series_matches_per_node_loop(spec8pi_small, make_drift, y):
     assert abs(res.quad_gap - quad_gap) <= 1e-12
 
 
+@pytest.mark.parametrize("d, preset", [
+    (1, "single-mode"), (1, "traveling-mode"), (1, "multi-mode"),
+    (2, "single-mode"), (2, "traveling-mode"), (2, "multi-mode"),
+])
+def test_off_grid_sources_match_the_full_spectrum_route(d, preset):
+    # delta_hat of an off-grid source is not Hermitian on its Nyquist rows, and
+    # in d=2 its slice is no real field's half spectrum (taken as the source,
+    # it moved these kernels by 5e-3 to 2e-2); the engine's source is the half
+    # spectrum of the real field the full-spectrum route transforms
+    spec = g.make_grid(d, 128 if d == 1 else 32, 8 * np.pi)
+    b = drifts.make_preset(preset, spec, horizon=1.0)
+    y = np.full(d, 1.2345) if d == 2 else 1.2345
+    _, _, source, _ = px._first_family(b, 0.5, y, 8)
+    point = g.ifft(spec, g.delta_hat(spec, y))
+    assert np.abs(g.irfft(spec, source) - point).max() <= 1e-13 * np.abs(point).max()
+    res = px.gamma_series(b, 0.5, y, m=64)
+    k, gamma, _ = _series_per_node(b, 0.5, y, m=64)
+    assert res.K_used == k
+    assert np.abs(res.gamma.values - gamma).max() <= 1e-13 * np.abs(gamma).max()
+
+
 def test_gamma_series_guards(spec8pi_small):
     spec = spec8pi_small
     b = drifts.single_mode_drift(spec, amplitude=1.0)
@@ -260,7 +282,7 @@ def test_gamma_series_guards(spec8pi_small):
 def test_series_transforms_per_term_do_not_grow_with_nodes(spec8pi_small, monkeypatch):
     # each term costs a fixed number of (batched) transforms, whatever m is
     calls = {"n": 0}
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         def counting(*args, _orig=getattr(g, name)):
             calls["n"] += 1
             return _orig(*args)
@@ -282,17 +304,19 @@ def test_series_transforms_per_term_do_not_grow_with_nodes(spec8pi_small, monkey
 
 
 def _neg_div_hat_formula(spec, bs, v):
-    # -sum_c D_c * h^d FFT(b_c v) on the real product, with fresh temporaries
+    # -sum_c D_c * h^d RFFT(b_c v) on the real product, with fresh temporaries
+    # and the derivative multipliers cut to the half spectrum
     axes = tuple(range(-spec.d, 0))
     bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
-    return -sum(g.deriv_multiplier(spec, mu) * (spec.cell * np.fft.fftn(bs[:, c] * v, axes=axes))
+    return -sum(g.deriv_multiplier(spec, mu)[..., : spec.n // 2 + 1]
+                * (spec.cell * np.fft.rfftn(bs[:, c] * v, axes=axes))
                 for c, mu in enumerate(np.eye(spec.d, dtype=int)))
 
 
 def _trapezoid_formula(spec, w_hat, times):
     # the recurrence on a zeroed stack, one fresh temporary per operation
     dts = np.diff(times)
-    H = g.heat_multiplier(spec, dts)
+    H = g.heat_multiplier(spec, dts)[..., : spec.n // 2 + 1]
     G_hat = np.zeros_like(w_hat)
     for j, dt in enumerate(dts):
         G_hat[j + 1] = H[j] * (G_hat[j] + (dt / 2.0) * w_hat[j]) + (dt / 2.0) * w_hat[j + 1]
@@ -308,7 +332,7 @@ def _engine_case(name):
         b = drifts.make_preset("multi-mode", spec)
         y = 0.3 if name == "one-source" else np.linspace(-10.0, 10.0, 40).reshape(-1, 1)
     s, bs, _, psi_hat = px._first_family(b, 0.5, y, 32)
-    v = g.ifft(b.spec, px._trapezoid(b.spec, psi_hat, s))
+    v = g.irfft(b.spec, px._trapezoid(b.spec, psi_hat, s))
     return b.spec, s, bs, v, psi_hat
 
 
@@ -321,7 +345,7 @@ def test_neg_div_hat_is_bit_identical_to_its_formula(case):
     assert all(np.abs(bs[:, c]).max() > 0 for c in range(spec.d))  # drift on every axis
     inputs = (bs.copy(), v.copy())
     got = px._neg_div_hat(spec, bs, v)
-    assert got.dtype == np.complex128 and got.shape == v.shape
+    assert got.dtype == np.complex128 and got.shape == v.shape[:-1] + (spec.n // 2 + 1,)
     assert np.array_equal(got, _neg_div_hat_formula(spec, bs, v))
     assert np.array_equal(bs, inputs[0]) and np.array_equal(v, inputs[1])
 
@@ -335,27 +359,32 @@ def test_trapezoid_is_bit_identical_to_its_formula(case):
     coarse = _trapezoid_formula(spec, psi_hat[::2], s[::2])
     assert np.array_equal(px._trapezoid(spec, psi_hat[::2], s[::2]), coarse)
     assert np.array_equal(px._trapezoid(spec, psi_hat[::2], s[::2], last=True), coarse[-1])
-    fine = g.ifft(spec, _trapezoid_formula(spec, psi_hat, s)[-1])
-    expect = g.ifft(spec, coarse[-1])
+    fine = g.irfft(spec, _trapezoid_formula(spec, psi_hat, s)[-1])
+    expect = g.irfft(spec, coarse[-1])
     assert px._richardson_mismatch(spec, psi_hat, s, fine) == (
         float(np.abs(expect - fine).max()), float(np.abs(fine).max()))
     assert np.array_equal(psi_hat, kept)
 
 
-def test_hot_path_transforms_only_complex_stacks(spec8pi_small, monkeypatch):
-    # the products are formed in complex stacks: no real array reaches numpy's
-    # forward transform, which would cast it inside the transform
+def test_hot_path_transforms_take_their_input_uncast(spec8pi_small, monkeypatch):
+    # no transform casts its input: the engine's forward transforms are rfftn
+    # on float64 stacks and its inverse transforms irfftn on complex128 half
+    # spectra; the series and the fixed point make no full forward transform
     b = drifts.make_preset("multi-mode", spec8pi_small)
     sources = np.linspace(-10.0, 10.0, 40).reshape(-1, 1)
     times = px.time_nodes(0.25, 16)
     data = g.gaussian_shifted(spec8pi_small, 0.05, 0.3).values
     base = cy.TimeField(spec8pi_small, times, px._heat_stack(spec8pi_small,
-                                                             g.fft(spec8pi_small, data), times))
-    fftn, seen = np.fft.fftn, []
-    monkeypatch.setattr(np.fft, "fftn", lambda a, **kw: seen.append(a.dtype) or fftn(a, **kw))
+                                                             g.rfft(spec8pi_small, data), times))
+    seen = {}
+    for name in ("fftn", "rfftn", "irfftn"):
+        def recording(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
+            seen.setdefault(_name, set()).add(a.dtype)
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, recording)
     px.transition_matrix(b, 0.5, sources, K_max=3, m=32)
     cy.theta_apply(base, b, base)
-    assert seen and set(seen) == {np.dtype(complex)}
+    assert seen == {"rfftn": {np.dtype(float)}, "irfftn": {np.dtype(complex)}}
 
 
 # -- blocked batches ------------------------------------------------------------
@@ -366,25 +395,25 @@ def _series_one_block(b, t, y, K_max=12, tol=1e-6, m=64):
     # stop test and the Richardson gap read the whole batch directly
     spec = b.spec
     s, bs, dhat, psi_hat = px._first_family(b, t, y, m)
-    gamma_hat = dhat * g.heat_multiplier(spec, t)
+    gamma_hat = dhat * g.heat_multiplier(spec, t)[..., : spec.n // 2 + 1]
     sup_p = float(g.gaussian(spec, t).values.max())
     terms, sups, quad_gap = [], [], 0.0
     for k in range(1, K_max + 1):
         G_hat = px._trapezoid(spec, psi_hat, s)
-        term = g.ifft(spec, G_hat[-1])
-        coarse = g.ifft(spec, px._trapezoid(spec, psi_hat[::2], s[::2])[-1])
+        term = g.irfft(spec, G_hat[-1])
+        coarse = g.irfft(spec, px._trapezoid(spec, psi_hat[::2], s[::2])[-1])
         quad_gap = max(quad_gap, float(np.abs(coarse - term).max() / np.abs(term).max()))
         gamma_hat = gamma_hat + G_hat[-1]
         terms.append(term)
         sups.append(float(np.abs(term).max()))
         if sups[-1] <= tol * sup_p or k == K_max:
             break
-        psi_hat = px._neg_div_hat(spec, bs, g.ifft(spec, G_hat))
+        psi_hat = px._neg_div_hat(spec, bs, g.irfft(spec, G_hat))
     ratio = sups[-1] / sups[-2] if len(sups) >= 2 else 0.0
     tail = sups[-1] * ratio / (1.0 - ratio) if 0 < ratio < 1 else sups[-1]
     if sups[-1] <= tol * sup_p:
         tail = sups[-1]
-    return {"gamma": g.ifft(spec, gamma_hat), "term_fields": np.asarray(terms),
+    return {"gamma": g.irfft(spec, gamma_hat), "term_fields": np.asarray(terms),
             "term_sup_norms": np.asarray(sups), "K_used": k, "quad_gap": quad_gap,
             "tail_estimate": tail + quad_gap * max(max(sups), 1e-300)}
 
