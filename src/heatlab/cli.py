@@ -18,7 +18,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="key=value or JSON config file")
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=None, metavar="N",
                         help="use at most N CPUs (caps the CPU affinity for the run); "
                              "reports do not depend on N")
     args = parser.parse_args(argv)
