@@ -373,6 +373,9 @@ def _ratio_extremes(spec: g.GridSpec, M: np.ndarray, src_idx: np.ndarray,
     The inf is read on max(M, 0), so a negative overshoot gives 0, never a
     negative lower constant.
     """
+    if spec.d != 1:
+        raise ValueError(f"envelope ratios index kernel rows as in d=1; "
+                         f"got grid.d = {spec.d}")
     n = spec.n
     i0 = n // 2
     idx = (np.arange(n)[None, :] - src_idx[:, None] + i0) % n

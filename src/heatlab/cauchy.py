@@ -30,7 +30,7 @@ from math import ceil
 import numpy as np
 
 from . import grid as g
-from .dyadic import BesovIndex, DriftField, besov_norm_values, drift_norms
+from .dyadic import BesovIndex, DriftField, _besov_stack, drift_norms
 from .errors import HorizonTooSmall, NoConvergence
 from .parametrix import (_check_horizon, _heat_stack, _neg_div_hat, _trapezoid,
                          time_nodes)
@@ -127,13 +127,11 @@ def step_horizon(X: float, Y: float, alpha: float, beta: float,
 
 def weighted_norm(v: TimeField, delta: float, idx: BesovIndex) -> float:
     """Blow-up norm: sup over nodes of s^delta * ||v_s||_B."""
-    vals = []
-    for j, s in enumerate(v.times):
-        w = s**delta if (s > 0 or delta == 0) else 0.0
-        if w == 0.0:
-            continue
-        vals.append(w * besov_norm_values(v.spec, v.values[j], idx))
-    return float(max(vals)) if vals else 0.0
+    w = np.array([s**delta if (s > 0 or delta == 0) else 0.0 for s in v.times])
+    keep = w != 0.0
+    if not keep.any():
+        return 0.0
+    return float((w[keep] * _besov_stack(v.spec, v.values[keep], idx)).max())
 
 
 def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, times: np.ndarray,

@@ -55,10 +55,7 @@ def single_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
     The default xi0 sits inside dyadic block 2, giving a drift with X = 0 and
     Y = A * 2^{-2 alpha} (up to a grid factor ~ 1).
     """
-    if xi0 is None:
-        xi0 = _grid_frequency(spec, 6.0)
-    else:
-        xi0 = _grid_frequency(spec, xi0)
+    xi0 = _grid_frequency(spec, 6.0 if xi0 is None else xi0)
     prof = amplitude * np.cos(xi0 * spec.axis_points())
     return _from_profile(spec, [0.0], prof[None], alpha, f"single-mode(xi0={xi0:g})")
 
@@ -134,10 +131,7 @@ def refreshing_mode_drift(spec: g.GridSpec, amplitude: float = 1.0,
     constants keep growing linearly in t (the worst-case growth the two-sided
     bounds are designed to track).  Seeded and reproducible.
     """
-    if xi0 is None:
-        xi0 = _grid_frequency(spec, 6.0)
-    else:
-        xi0 = _grid_frequency(spec, xi0)
+    xi0 = _grid_frequency(spec, 6.0 if xi0 is None else xi0)
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, horizon, _N_SLICES + 1)
     n_intervals = int(np.ceil(horizon / _REFRESH)) + 1

@@ -10,6 +10,10 @@ Besov norms weight block i>=0 by 2^{is}; the low block carries weight 1 so the
 scale is monotone in s (the standard 2^{-s} low-block weight is equivalent up
 to constants but not monotone).  Blocks, Besov norms, drift norms and
 mollification all take the partition from `build_partition`'s per-spec cache.
+One Besov sum serves every caller: it takes a stack of fields, keeps the
+leading axes and gives each entry the bits of that field's norm alone, so
+`besov_norm_values`, the drift norms and the blow-up norms of `cauchy` are
+the same arithmetic.
 
 A `DriftField` holds its samples read-only, so its controlling norms belong to
 the instance: `drift_norms` computes them on first use and stores them there.
@@ -132,17 +136,32 @@ def _weight(i: int, s: float) -> float:
     return 2.0 ** (max(i, 0) * s)
 
 
-def besov_norm_values(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex) -> float:
+def _root(x, r) -> np.ndarray:
+    """x ** (1/r) entry by entry through the scalar power: numpy's array power
+    rounds differently, and each entry must have the bits of a single field."""
+    return np.vectorize(lambda v: v ** (1.0 / r), otypes=[float])(x)
+
+
+def _besov_stack(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex) -> np.ndarray:
+    """Besov norms of a stack of fields over the last d axes, leading axes
+    kept: l^q over blocks of 2^{is} ||Delta_i f||_{L^p} (h^d-weighted)."""
     part = build_partition(spec)
+    space = tuple(range(-spec.d, 0))
     fhat = g.fft(spec, values)
     per_block = []
     for i in part.indices:
-        piece = g.GridField(spec, g.ifft(spec, part.multiplier(i) * fhat))
-        per_block.append(_weight(i, idx.s) * g.lp_norm(piece, idx.p))
-    per_block = np.asarray(per_block)
+        a = np.abs(g.ifft(spec, part.multiplier(i) * fhat))
+        lp = (a.max(axis=space) if idx.p == np.inf
+              else _root(spec.cell * (a**idx.p).sum(axis=space), idx.p))
+        per_block.append(_weight(i, idx.s) * lp)
+    per_block = np.stack(per_block, axis=-1)
     if idx.q == np.inf:
-        return float(per_block.max())
-    return float((per_block**idx.q).sum() ** (1.0 / idx.q))
+        return per_block.max(axis=-1)
+    return _root((per_block**idx.q).sum(axis=-1), idx.q)
+
+
+def besov_norm_values(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex) -> float:
+    return float(_besov_stack(spec, values, idx))
 
 
 def besov_norm(f: g.GridField, idx: BesovIndex) -> float:
@@ -247,23 +266,17 @@ def drift_norms(b: DriftField):
 
 def _compute_norms(b: DriftField):
     """(X, Y) from every sample: samples are transformed in blocks of
-    _SAMPLE_BLOCK, all components at once, with the same arithmetic as
-    `block_values` and `besov_norm_values` per sample."""
-    part = build_partition(b.spec)
+    _SAMPLE_BLOCK, all components at once."""
     spec = b.spec
     space = tuple(range(-spec.d, 0))
-    weights = [_weight(i, -b.alpha) for i in part.indices]
+    idx = BesovIndex(-b.alpha, np.inf, 1)
     X = 0.0
     Y = 0.0
     for j in range(0, len(b.times), _SAMPLE_BLOCK):
         samples = b.values[j:j + _SAMPLE_BLOCK]
-        low = g.ifft(spec, part.multiplier(-1) * g.fft(spec, samples))
-        high_hat = g.fft(spec, samples - low)
-        per_block = np.stack(
-            [w * np.abs(g.ifft(spec, part.multiplier(i) * high_hat)).max(axis=space)
-             for w, i in zip(weights, part.indices)], axis=-1)
+        low = block_values(spec, samples, -1)
         X = max(X, float(np.abs(low).max(axis=space).sum(axis=-1).max()))
-        Y = max(Y, float(per_block.sum(axis=-1).sum(axis=-1).max()))
+        Y = max(Y, float(_besov_stack(spec, samples - low, idx).sum(axis=-1).max()))
     return X, Y
 
 

@@ -92,11 +92,7 @@ def make_grid(d: int, n: int, L: float) -> GridSpec:
 @lru_cache(maxsize=64)
 def _freq_grids(spec: GridSpec) -> tuple:
     """Per-axis frequency arrays broadcast to the full grid, plus |xi|^2."""
-    ax = spec.axis_freqs()
-    if spec.d == 1:
-        comps = (ax,)
-    else:
-        comps = tuple(np.meshgrid(ax, ax, indexing="ij"))
+    comps = tuple(np.meshgrid(*(spec.axis_freqs(),) * spec.d, indexing="ij"))
     sq = sum(c**2 for c in comps)
     return comps, sq
 
@@ -180,10 +176,11 @@ def heat_multiplier(spec: GridSpec, t) -> np.ndarray:
 def delta_hat(spec: GridSpec, center) -> np.ndarray:
     """Spectrum of the (periodized) unit-mass point source at `center`.
 
-    `center` may be any point in the box, not necessarily on the grid.
+    `center` may be any point in the box, not necessarily on the grid; a
+    scalar stands for the point with that coordinate on every axis.
     """
     comps = freq_components(spec)
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (spec.d,))
     x0 = -spec.L / 2
     phase = sum(c * (center[i] - x0) for i, c in enumerate(comps))
     return np.exp(-1j * phase)
@@ -212,11 +209,20 @@ class GridField:
         return GridField(self.spec, self.values.copy())
 
 
-def _check_wraparound(spec: GridSpec, t: float):
+def _check_time(spec: GridSpec, t: float):
+    """The time guard of every heat kernel: t > 0 and no wraparound in the box."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     if np.sqrt(t) > spec.L / 8:
         raise WraparoundRisk(
             f"sqrt(t)={np.sqrt(t):.3g} exceeds L/8={spec.L / 8:.3g}; enlarge the box"
         )
+
+
+def _heat_hat(spec: GridSpec, t: float, center) -> np.ndarray:
+    """Spectrum of p(t, . - center) after the time guard."""
+    _check_time(spec, t)
+    return delta_hat(spec, center) * heat_multiplier(spec, t)
 
 
 def _symmetrize(spec: GridSpec, values: np.ndarray, sign: int) -> np.ndarray:
@@ -236,20 +242,13 @@ def gaussian(spec: GridSpec, t: float) -> GridField:
 
     Mass h^d*sum = 1 exactly (DC mode is 1); even symmetry on the grid.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    _check_wraparound(spec, t)
-    vals = ifft(spec, delta_hat(spec, np.zeros(spec.d)) * heat_multiplier(spec, t))
+    vals = ifft(spec, _heat_hat(spec, t, 0.0))
     return GridField(spec, _symmetrize(spec, vals, +1))
 
 
 def gaussian_shifted(spec: GridSpec, t: float, center) -> GridField:
     """Periodized p(t, . - center); center may be off-grid (spectral shift)."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    _check_wraparound(spec, t)
-    vals = ifft(spec, delta_hat(spec, center) * heat_multiplier(spec, t))
-    return GridField(spec, vals)
+    return GridField(spec, ifft(spec, _heat_hat(spec, t, center)))
 
 
 def deriv_multiplier(spec: GridSpec, mu) -> np.ndarray:
@@ -279,10 +278,7 @@ def deriv_multiplier(spec: GridSpec, mu) -> np.ndarray:
 
 def gaussian_deriv(spec: GridSpec, t: float, mu) -> GridField:
     """Spatial derivative d^mu p(t, .) of the periodized Gaussian, |mu| <= 2."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    _check_wraparound(spec, t)
-    fhat = delta_hat(spec, np.zeros(spec.d)) * heat_multiplier(spec, t)
+    fhat = _heat_hat(spec, t, 0.0)
     vals = ifft(spec, deriv_multiplier(spec, mu) * fhat)
     parity = 1 if sum(int(v) for v in np.atleast_1d(mu)) % 2 == 0 else -1
     return GridField(spec, _symmetrize(spec, vals, parity))

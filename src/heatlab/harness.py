@@ -170,6 +170,12 @@ def _write_report(out_dir: Path, name: str, config: ExperimentConfig,
 # -- subcommand recipes ---------------------------------------------------------
 
 
+def _series_opts(config) -> dict:
+    """The series truncation options (K_max, tol, m) of a config."""
+    return {"K_max": config["truncation.K_max"], "tol": config["truncation.tol"],
+            "m": config["truncation.m"]}
+
+
 def _cmd_besov_check(config):
     spec = config.spec()
     part = dyadic.build_partition(spec)
@@ -181,12 +187,10 @@ def _cmd_besov_check(config):
             if j - i >= 2:
                 overlap = (part.multiplier(i) > 0) & (part.multiplier(j) > 0)
                 disjoint_bad += int(overlap.sum())
-    rng = np.random.default_rng(config["drift.seed"])
-    recon = 0.0
-    for _ in range(20):
-        f = grid.GridField(spec, rng.standard_normal(spec.shape))
-        back = sum(dyadic.block(f, i).values for i in part.indices)
-        recon = max(recon, np.abs(back - f.values).max() / np.abs(f.values).max())
+    fields = np.random.default_rng(config["drift.seed"]).standard_normal((20,) + spec.shape)
+    back = sum(dyadic.block_values(spec, fields, i) for i in part.indices)
+    space = tuple(range(-spec.d, 0))
+    recon = (np.abs(back - fields).max(axis=space) / np.abs(fields).max(axis=space)).max()
     rows = [
         ("partition_sum_dev", float(np.abs(total - 1).max()), 1e-12),
         ("square_sum_min", float(sq.min()), 0.5),
@@ -213,9 +217,7 @@ def _cmd_parametrix(config):
     b = config.drift()
     rows = []
     for t in config.floats("times"):
-        res = parametrix.gamma_series(b, t, 0.0, K_max=config["truncation.K_max"],
-                                      tol=config["truncation.tol"],
-                                      m=config["truncation.m"])
+        res = parametrix.gamma_series(b, t, 0.0, **_series_opts(config))
         rows.append((t, res.K_used, res.tail_estimate, res.quad_gap,
                      abs(res.gamma.integral() - 1.0),
                      float(res.gamma.values.min()),
@@ -228,18 +230,15 @@ def _cmd_cauchy(config):
     b = config.drift()
     spec = config.spec()
     t = max(config.floats("times"))
-    res = parametrix.gamma_series(b, t, 0.0, K_max=config["truncation.K_max"],
-                                  tol=config["truncation.tol"],
-                                  m=config["truncation.m"])
+    res = parametrix.gamma_series(b, t, 0.0, **_series_opts(config))
     eps = spec.h**2
     g1 = cauchy.gamma_via_cauchy(b, t, 0.0, eps=2 * eps)
     g2 = cauchy.gamma_via_cauchy(b, t, 0.0, eps=eps)
-    sup = res.gamma.values.max()
-    gap1 = np.abs(g1.values - res.gamma.values).max() / sup
-    gap2 = np.abs(g2.values - res.gamma.values).max() / sup
-    extrap = 2 * g2.values - g1.values
-    gap_x = np.abs(extrap - res.gamma.values).max() / sup
-    rows = [(t, 2 * eps, gap1), (t, eps, gap2), (t, 0.0, gap_x)]
+    ref = res.gamma.values
+    # eps = 0 is the Richardson extrapolation of the two mollified kernels
+    rows = [(t, e, np.abs(v - ref).max() / ref.max())
+            for e, v in ((2 * eps, g1.values), (eps, g2.values),
+                         (0.0, 2 * g2.values - g1.values))]
     return ["t", "eps", "rel_sup_gap"], rows
 
 
@@ -254,9 +253,7 @@ def _envelope_entries(config):
                                         speed=config["envelope.eta"] * base,
                                         horizon=max(times))
         for t in times:
-            entries.append(bounds.envelope_sweep_entry(
-                b, t, amp, K_max=config["truncation.K_max"],
-                tol=config["truncation.tol"], m=config["truncation.m"]))
+            entries.append(bounds.envelope_sweep_entry(b, t, amp, **_series_opts(config)))
     return entries
 
 
@@ -273,10 +270,7 @@ def _cmd_verify_lower(config):
     spec = config.spec()
     b = drifts.single_mode_drift(spec, amplitude=config["envelope.base_amplitude"],
                                  alpha=config["drift.alpha"])
-    boot = bounds.bootstrap_lower_bound(b, a=0.25, kappa=0.5,
-                                        K_max=config["truncation.K_max"],
-                                        tol=config["truncation.tol"],
-                                        m=config["truncation.m"])
+    boot = bounds.bootstrap_lower_bound(b, a=0.25, kappa=0.5, **_series_opts(config))
     rows = [(ch["t"], ch["n_comp"], ch["inf_ratio"], ch["required"], ch["ok"])
             for ch in boot["checks"]]
     rows.append(("M", boot["M"], boot["kappa"], boot["a"], boot["all_ok"]))
@@ -287,9 +281,7 @@ def _cmd_sharpness(config):
     spec = config.spec()
     lam, c, kap, t = 1.0, config["envelope.c"], 0.5, 1.0
     b = drifts.constant_drift(spec, lam, alpha=config["drift.alpha"])
-    res = parametrix.gamma_series(b, t, 0.0, K_max=config["truncation.K_max"],
-                                  tol=config["truncation.tol"],
-                                  m=config["truncation.m"])
+    res = parametrix.gamma_series(b, t, 0.0, **_series_opts(config))
     M = res.gamma.values[None, :]
     src = np.array([spec.n // 2])
     up = grid.gaussian(spec, c * t).values
@@ -307,6 +299,9 @@ def _cmd_sharpness(config):
 
 def _cmd_escape(config):
     spec = config.spec()
+    if spec.d != 1:
+        raise ValueError(f"escape compares with the one-dimensional reflection "
+                         f"oracle; it needs grid.d = 1, got {spec.d}")
     T = config["mc.T"]
     b0 = drifts.zero_drift(spec, alpha=config["drift.alpha"])
     ens = montecarlo.simulate(b0, 0.0, T, config["mc.h_t"], config["mc.N"],
@@ -340,16 +335,12 @@ def _cmd_grr(config):
     rs = np.geomspace(1e-6, 1e6, 49)
     zeta, psi = montecarlo.modulus_functions(rs)
     ratio = psi / zeta
+    # psi(sqrt(a b)) <= sqrt(2) psi(a) psi(b) on a 20 x 20 table, psi in closed form
     rr = np.geomspace(1e-3, 1.0, 20)
-    zz = np.array([np.sqrt(a * bb) for a in rr for bb in rr])
-    _, psi_rs = montecarlo.modulus_functions(zz.reshape(-1))
+    zz = np.sqrt(rr[:, None] * rr[None, :])
+    psi_rs = np.sqrt(zz) * np.sqrt(np.maximum(np.log(1.0 / zz), 1.0))
     psi_r = np.sqrt(rr) * np.sqrt(np.maximum(np.log(1 / rr), 1))
-    sub_max = 0.0
-    k = 0
-    for ia in range(len(rr)):
-        for ib in range(len(rr)):
-            sub_max = max(sub_max, psi_rs[k] / (np.sqrt(2) * psi_r[ia] * psi_r[ib]))
-            k += 1
+    sub_max = (psi_rs / (np.sqrt(2) * psi_r[:, None] * psi_r[None, :])).max()
     rows = [
         ("paths", n_keep), ("pairs_per_path", 50), ("violations", viol),
         ("max_ratio", max_ratio), ("F_max", F_max),
@@ -368,17 +359,17 @@ def _cmd_mollify_sweep(config):
                                 seed=config["drift.seed"], i_max=8)
     part = dyadic.build_partition(spec)
     levels = [int(v) for v in config.floats("mollify.levels")]
-    full = dyadic.mollify_drift(b, part.j_max)
+    smoothed = {n: dyadic.mollify_drift(b, n) for n in [part.j_max] + levels}
     T, h_t, N = config["mc.T"], config["mc.h_t"], config["mc.N"]
     dens = {}
-    for lvl, bb in [(part.j_max, full)] + [(n, dyadic.mollify_drift(b, n)) for n in levels]:
+    for lvl, bb in smoothed.items():
         ens = montecarlo.simulate(bb, 0.0, T, h_t, N, config["mc.seed"],
                                   snapshot_times=[T])
         dens[lvl] = montecarlo.density_at(ens, T).values
     rows = []
     for n in levels:
         l1 = spec.cell * np.abs(dens[n] - dens[part.j_max]).sum()
-        _, Y = dyadic.drift_norms(dyadic.mollify_drift(b, n))
+        _, Y = dyadic.drift_norms(smoothed[n])
         rows.append((n, l1, Y))
     return ["level", "l1_to_full", "Y_level"], rows
 
@@ -397,33 +388,21 @@ def _cmd_ibound_table(config):
     return ["i", "beta", "k", "t", "empirical", "rhs", "ratio"], rows
 
 
+#: subcommand -> (recipe, schema.json description)
 _RECIPES = {
-    "besov-check": _cmd_besov_check,
-    "parametrix": _cmd_parametrix,
-    "cauchy": _cmd_cauchy,
-    "verify-upper": _cmd_verify_upper,
-    "verify-lower": _cmd_verify_lower,
-    "sharpness": _cmd_sharpness,
-    "escape": _cmd_escape,
-    "grr": _cmd_grr,
-    "mollify-sweep": _cmd_mollify_sweep,
-    "ibound-table": _cmd_ibound_table,
+    "besov-check": (_cmd_besov_check, "partition/reconstruction/Dirac-scaling audit rows"),
+    "parametrix": (_cmd_parametrix, "series diagnostics per horizon"),
+    "cauchy": (_cmd_cauchy, "fixed-point kernel vs series kernel, eps sweep"),
+    "verify-upper": (_cmd_verify_upper, "upper envelope constants and growth regression"),
+    "verify-lower": (_cmd_verify_lower, "composition bootstrap of the lower envelope"),
+    "sharpness": (_cmd_sharpness, "constant-drift envelope constants vs closed forms"),
+    "escape": (_cmd_escape, "escape probabilities vs reflection oracle"),
+    "grr": (_cmd_grr, "path modulus audit and psi/zeta equivalence"),
+    "mollify-sweep": (_cmd_mollify_sweep, "density distance vs mollification level"),
+    "ibound-table": (_cmd_ibound_table, "empirical vs closed-form correction-size integrals"),
 }
 
 SUBCOMMANDS = tuple(_RECIPES) + ("all",)
-
-_SCHEMA_NOTES = {
-    "besov-check": "partition/reconstruction/Dirac-scaling audit rows",
-    "parametrix": "series diagnostics per horizon",
-    "cauchy": "fixed-point kernel vs series kernel, eps sweep",
-    "verify-upper": "upper envelope constants and growth regression",
-    "verify-lower": "composition bootstrap of the lower envelope",
-    "sharpness": "constant-drift envelope constants vs closed forms",
-    "escape": "escape probabilities vs reflection oracle",
-    "grr": "path modulus audit and psi/zeta equivalence",
-    "mollify-sweep": "density distance vs mollification level",
-    "ibound-table": "empirical vs closed-form correction-size integrals",
-}
 
 
 def run(subcommand: str, config: ExperimentConfig, out_dir) -> tuple:
@@ -442,7 +421,7 @@ def run(subcommand: str, config: ExperimentConfig, out_dir) -> tuple:
     for name in names:
         fname = f"{name}_{config.hash}.csv"
         try:
-            columns, rows = _RECIPES[name](config)
+            columns, rows = _RECIPES[name][0](config)
             paths.append(_write_report(out_dir, fname, config, columns, rows))
         except (HeatLabError, ValueError, KeyError) as exc:
             paths.append(_write_report(
@@ -452,11 +431,8 @@ def run(subcommand: str, config: ExperimentConfig, out_dir) -> tuple:
             status = 1
     if subcommand == "all":
         schema = {
-            name: {
-                "file": f"{name}_{config.hash}.csv",
-                "description": _SCHEMA_NOTES[name],
-            }
-            for name in _RECIPES
+            name: {"file": f"{name}_{config.hash}.csv", "description": description}
+            for name, (_, description) in _RECIPES.items()
         }
         spath = out_dir / "schema.json"
         spath.write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ the reflection oracle sums `_IMAGE_TERMS` images on each side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 from scipy.integrate import quad
@@ -268,20 +269,16 @@ def density_at(e: Ensemble, t: float, bandwidth: float | None = None) -> g.GridF
     i0 = np.floor(idx).astype(np.int64) % spec.n
     frac = idx - np.floor(idx)
     w = 1.0 / (e.N * spec.cell)
-    if spec.d == 1:
-        counts = (np.bincount(i0[:, 0], weights=(1 - frac[:, 0]), minlength=spec.n)
-                  + np.bincount((i0[:, 0] + 1) % spec.n, weights=frac[:, 0],
-                                minlength=spec.n))
-        hist = counts * w
-    else:
-        n = spec.n
-        flat = lambda a, bb: (a % n) * n + (bb % n)
-        counts = np.zeros(n * n)
-        for da, wa in ((0, 1 - frac[:, 0]), (1, frac[:, 0])):
-            for db, wb in ((0, 1 - frac[:, 1]), (1, frac[:, 1])):
-                counts += np.bincount(flat(i0[:, 0] + da, i0[:, 1] + db),
-                                      weights=wa * wb, minlength=n * n)
-        hist = counts.reshape(n, n) * w
+    # one linear-binning pass per cell corner; the corners come in a fixed
+    # (lexicographic) order, which fixes the summation order of the counts
+    counts = np.zeros(spec.size)
+    for corner in product((0, 1), repeat=spec.d):
+        wts = 1.0
+        for a, c in enumerate(corner):
+            wts = wts * (frac[:, a] if c else 1 - frac[:, a])
+        cells = np.ravel_multi_index(tuple((i0 + corner).T), spec.shape, mode="wrap")
+        counts += np.bincount(cells, weights=wts, minlength=spec.size)
+    hist = counts.reshape(spec.shape) * w
     smooth = g.ifft(spec, g.heat_multiplier(spec, bandwidth**2) * g.fft(spec, hist))
     return g.GridField(spec, smooth)
 
@@ -359,11 +356,19 @@ class GRRReport:
     pairs_checked: int
 
 
-def _path_F(times: np.ndarray, path: np.ndarray, kappa: float) -> float:
+def _pair_tables(path: np.ndarray, times: np.ndarray) -> tuple:
+    """(path, |X_t - X_s|, |t - s|) over every pair of steps; a path of shape
+    (n, 1) is squeezed to (n,)."""
+    path = np.asarray(path, dtype=float)
+    if path.ndim == 2 and path.shape[1] == 1:
+        path = path[:, 0]
+    disp = (np.abs(path[:, None] - path[None, :]) if path.ndim == 1
+            else np.linalg.norm(path[:, None, :] - path[None, :, :], axis=-1))
+    return path, disp, np.abs(times[:, None] - times[None, :])
+
+
+def _path_F(times: np.ndarray, disp: np.ndarray, dt: np.ndarray, kappa: float) -> float:
     """Trapezoid value of the double-integral functional; diagonal integrand 1."""
-    disp = path[:, None] - path[None, :] if path.ndim == 1 else np.linalg.norm(
-        path[:, None, :] - path[None, :, :], axis=-1)
-    dt = np.abs(times[:, None] - times[None, :])
     ratio2 = np.zeros_like(dt)
     off = dt > 0
     ratio2[off] = disp[off] ** 2 / dt[off]
@@ -387,12 +392,10 @@ def grr_verify(path: np.ndarray, times: np.ndarray, kappa: float,
     integral; violations are counted (zero expected: the inequality is exact
     for the piecewise-linear path up to quadrature slack).
     """
-    path = np.asarray(path, dtype=float)
-    if path.ndim == 2 and path.shape[1] == 1:
-        path = path[:, 0]
     times = np.asarray(times, dtype=float)
+    path, disp, dt_pairs = _pair_tables(path, times)
     T = times[-1]
-    F = _path_F(times, path, kappa)
+    F = _path_F(times, disp, dt_pairs, kappa)
     B = max(F - T * T, 0.0)
     G = 2.0 * np.sqrt(max(F, 4.0))
     rng = np.random.default_rng(seed)
@@ -426,12 +429,7 @@ def grr_verify(path: np.ndarray, times: np.ndarray, kappa: float,
 
 def pair_sup_ratio(path: np.ndarray, times: np.ndarray) -> float:
     """sup over s<t of |X_t - X_s| / psi(t - s) on the step grid."""
-    path = np.asarray(path, dtype=float)
-    if path.ndim == 2 and path.shape[1] == 1:
-        path = path[:, 0]
-    dt = np.abs(times[:, None] - times[None, :])
-    disp = (np.abs(path[:, None] - path[None, :]) if path.ndim == 1
-            else np.linalg.norm(path[:, None, :] - path[None, :, :], axis=-1))
+    _, disp, dt = _pair_tables(path, times)
     off = dt > 0
     psi = np.sqrt(dt[off]) * np.sqrt(np.maximum(np.log(1.0 / dt[off]), 1.0))
     return float((disp[off] / psi).max())

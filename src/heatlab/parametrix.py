@@ -179,11 +179,9 @@ def _richardson_gap(mismatch: float, scale: float) -> float:
 def _check_horizon(b: DriftField, t: float):
     """The input guards of both kernel routes: t > 0, t within the horizon of
     a time-dependent drift, and no wraparound in the box."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
     if len(b.times) > 1 and t > b.horizon + 1e-9:
         raise ValueError(f"t={t} beyond drift horizon {b.horizon}")
-    g._check_wraparound(b.spec, t)
+    g._check_time(b.spec, t)
 
 
 def _first_family(b: DriftField, t: float, y, m: int):

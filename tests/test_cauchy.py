@@ -320,6 +320,25 @@ def test_weighted_norm(spec8pi_small):
     assert n0 >= n1 >= n2
 
 
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
+def test_weighted_norm_matches_the_per_node_loop(d, n):
+    # one stacked Besov sum gives every node the bits of besov_norm_values on
+    # that node alone, finite integrability and summability included
+    spec = g.make_grid(d, n, 8 * np.pi)
+    rng = np.random.default_rng(0)
+    times = np.linspace(0.0, 1.0, 41)
+    for _ in range(4):
+        scale = rng.uniform(0.1, 10.0, (len(times),) + (1,) * d)
+        vals = rng.standard_normal((len(times),) + spec.shape) * scale
+        v = cy.TimeField(spec, times, vals)
+        for p, q in ((1, 2), (2, 3.5), (3.5, 1), (3.5, np.inf), (np.inf, 2)):
+            idx = dy.BesovIndex(0.3, p, q)
+            for delta in (0.0, 0.5):
+                loop = max(s**delta * dy.besov_norm_values(spec, vals[j], idx)
+                           for j, s in enumerate(times) if s > 0 or delta == 0)
+                assert cy.weighted_norm(v, delta, idx) == loop
+
+
 def test_gamma_via_cauchy_zero_drift(spec8pi_small):
     spec = spec8pi_small
     eps = spec.h**2

@@ -44,10 +44,14 @@ def test_gaussian_even_symmetry(spec40):
 
 
 def test_gaussian_wraparound_guard(spec40):
-    with pytest.raises(WraparoundRisk):
-        g.gaussian(spec40, (40 / 8) ** 2 * 1.1)
-    with pytest.raises(ValueError):
-        g.gaussian(spec40, 0.0)
+    # one time guard serves every heat kernel of the grid
+    for kernel in (lambda t: g.gaussian(spec40, t),
+                   lambda t: g.gaussian_shifted(spec40, t, 1.0),
+                   lambda t: g.gaussian_deriv(spec40, t, (1,))):
+        with pytest.raises(WraparoundRisk, match="exceeds L/8=5; enlarge the box"):
+            kernel((40 / 8) ** 2 * 1.1)
+        with pytest.raises(ValueError, match="t must be positive, got 0.0"):
+            kernel(0.0)
 
 
 def test_gaussian_2d_tensorizes(spec2d):
@@ -55,6 +59,9 @@ def test_gaussian_2d_tensorizes(spec2d):
     spec1 = g.make_grid(1, spec2d.n, spec2d.L)
     p1 = g.gaussian(spec1, 0.5).values
     assert np.abs(p2.values - np.outer(p1, p1)).max() < 1e-10
+    # a scalar centre stands for the same coordinate on every axis
+    assert np.array_equal(g.gaussian_shifted(spec2d, 0.5, 0.7).values,
+                          g.gaussian_shifted(spec2d, 0.5, [0.7, 0.7]).values)
 
 
 def test_gaussian_deriv_odd_and_identity(spec40):

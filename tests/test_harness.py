@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from heatlab import cli, drifts, harness, parametrix as px
+from heatlab import cli, drifts, dyadic, harness, parametrix as px
 
 
 LIGHT = {
@@ -92,6 +92,43 @@ def test_run_escape_subcommand(tmp_path):
     for ln in lines[5:]:
         K, p_hat, lo, hi = (float(v) for v in ln.split(",")[:4])
         assert 0 <= lo <= p_hat <= hi <= 1
+
+
+def test_every_subcommand_reports_on_a_2d_grid(tmp_path):
+    # each recipe either works in d=2 or fails with a named error in its
+    # report; none raises.  The series and fixed-point recipes take the
+    # scalar source 0.0 as the origin of the plane, and the one-dimensional
+    # ratio rows and reflection oracle refuse d=2 instead of reporting numbers
+    cfg = harness.ExperimentConfig.default(**{**LIGHT, "grid.d": 2, "grid.n": 32,
+                                              "mc.N": 500})
+    status, paths = harness.run("all", cfg, tmp_path)
+    assert status == 1
+    statuses = {}
+    for name in harness.SUBCOMMANDS[:-1]:
+        lines = (tmp_path / f"{name}_{cfg.hash}.csv").read_text().splitlines()
+        statuses[name] = lines[3].removeprefix("# status = ")
+        if statuses[name] != "ok":
+            error = statuses[name].removeprefix("failed: ")
+            assert lines[4:] == ["error", lines[5]] and lines[5].startswith(f"{error}: ")
+    assert statuses["parametrix"] == statuses["cauchy"] == "ok"
+    assert statuses["sharpness"] == statuses["escape"] == "failed: ValueError"
+    assert len(paths) == len(harness.SUBCOMMANDS)
+
+
+def test_mollify_sweep_builds_each_mollified_drift_once(tmp_path, monkeypatch):
+    # the full drift plus one per level; the Y column reads the norms of the
+    # drift that was simulated
+    calls = []
+
+    def counting(b, n, _mollify=dyadic.mollify_drift):
+        calls.append(n)
+        return _mollify(b, n)
+
+    monkeypatch.setattr(dyadic, "mollify_drift", counting)
+    cfg = harness.ExperimentConfig.default(**{**LIGHT, "mc.N": 500})
+    status, _ = harness.run("mollify-sweep", cfg, tmp_path)
+    assert status == 0
+    assert len(calls) == 1 + len(LIGHT["mollify.levels"])
 
 
 def test_run_unknown_subcommand(tmp_path):

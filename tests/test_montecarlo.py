@@ -234,6 +234,38 @@ def test_density_zero_drift_within_budget(spec8pi):
     assert np.abs(dens.values - target).max() < bias + noise + spec.h**2
 
 
+def _density_per_dimension(e, t):
+    # density_at with the default bandwidth, binned by one branch per
+    # dimension (the form before the corner loop)
+    spec, n = e.spec, e.spec.n
+    idx = ((e.positions(t) - (-spec.L / 2)) % spec.L) / spec.h
+    i0 = np.floor(idx).astype(np.int64) % n
+    frac = idx - np.floor(idx)
+    w = 1.0 / (e.N * spec.cell)
+    if spec.d == 1:
+        hist = (np.bincount(i0[:, 0], weights=(1 - frac[:, 0]), minlength=n)
+                + np.bincount((i0[:, 0] + 1) % n, weights=frac[:, 0], minlength=n)) * w
+    else:
+        counts = np.zeros(n * n)
+        for da, wa in ((0, 1 - frac[:, 0]), (1, frac[:, 0])):
+            for db, wb in ((0, 1 - frac[:, 1]), (1, frac[:, 1])):
+                cells = ((i0[:, 0] + da) % n) * n + (i0[:, 1] + db) % n
+                counts += np.bincount(cells, weights=wa * wb, minlength=n * n)
+        hist = counts.reshape(n, n) * w
+    return g.ifft(spec, g.heat_multiplier(spec, (2 * spec.h) ** 2) * g.fft(spec, hist))
+
+
+@pytest.mark.parametrize("d,n", [(1, 512), (1, 64), (2, 32)])
+def test_density_binning_matches_the_per_dimension_branches(d, n):
+    # started next to the box edge, so many paths wrap and the far corner of
+    # a cell at the last index wraps to index 0
+    spec = g.make_grid(d, n, 8 * np.pi)
+    b = drifts.single_mode_drift(spec, amplitude=1.0)
+    ens = mc.simulate(b, spec.L / 2 - 0.05, 0.5, 0.005, 20000, seed=21)
+    assert (mc.density_at(ens, 0.5).values.tobytes()
+            == _density_per_dimension(ens, 0.5).tobytes())
+
+
 def test_density_convergence_study(spec8pi):
     # halving the bandwidth while quadrupling N shrinks the gap to the series
     spec = spec8pi
