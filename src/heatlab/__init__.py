@@ -20,7 +20,6 @@ from .errors import (
     DivergentMoment,
     EnvelopeViolated,
     HeatLabError,
-    HorizonTooSmall,
     IndexOutOfRange,
     NoConvergence,
     NoDecay,
@@ -38,6 +37,6 @@ __all__ = [
     "drifts", "harness",
     "HeatLabError", "NotPowerOfTwo", "WraparoundRisk", "SpecMismatch",
     "DivergentMoment", "PartitionInfeasible", "IndexOutOfRange",
-    "QuadratureDivergence", "NoDecay", "HorizonTooSmall", "NoConvergence",
-    "EnvelopeViolated", "StepTooLarge", "DivergentF",
+    "QuadratureDivergence", "NoDecay", "NoConvergence", "EnvelopeViolated",
+    "StepTooLarge", "DivergentF",
 ]

@@ -1,57 +1,49 @@
 """Mild-solution fixed point: a second, independent route to the kernel.
 
-The Duhamel map is iterated on weighted time slabs:
+The Duhamel map is iterated on time slabs:
 
     (Theta v)_s = P_s phi - integral_0^s P_{s-r} div(b_r v_r) dr,
 
 in the same mass-conserving forward orientation as the series construction in
-`parametrix` (the two routes cross-validate each other).  The step horizon is
-chosen so the map contracts with factor <= 1/2; the contraction constant is
-calibrated from actual iterate ratios rather than from the pessimistic a
-priori exponent.  The data term P_s phi (the heat base) is built once per
-slab; one application `theta_apply` adds to it the Duhamel integral of
--div(b v), formed on the half-spectrum engine shared with `parametrix` (drift
-lookup, -div(b v) spectrum, exponential trapezoid) for every node at once,
-with one inverse transform back to physical space.  The calibration and every
-segment run the same Picard iterate sequence; when the first segment's nodes
-equal the last trial slab's, it continues the calibration's iterates instead
-of starting over.  The drift's norms are read once per drift (`drift_norms`
-stores them on the DriftField).  Fixed: target regularity
-`_BETA`, `_M` quadrature intervals per slab, at most `_MAX_ITER` iterations
-per segment, no slab shorter than `_MIN_DT`.
+`parametrix` (the two routes cross-validate each other).  The map contracts on
+short enough slabs, and the slabs are found by the convergence test alone:
+[0, T] starts as one slab, a slab whose Picard iterates reach the tolerance
+within `_MAX_ITER` iterations is accepted, and one that does not is halved.
+Each slab restarts from the previous accepted slab's terminal slice.  The
+data term P_s phi (the heat base) is built once per slab; one application
+`theta_apply` adds to it the Duhamel integral of -div(b v), formed on the
+half-spectrum engine shared with `parametrix` (drift lookup, -div(b v)
+spectrum, exponential trapezoid) for every node at once, with one inverse
+transform back to physical space.  The drift's norms fill the report and are
+computed once per drift (`drift_norms` stores them on the DriftField).
+Fixed: `_M` quadrature intervals per slab, at most `_MAX_ITER` iterations per
+slab, no slab shorter than `_MIN_DT`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from math import ceil
 
 import numpy as np
 
 from . import grid as g
-from .dyadic import BesovIndex, DriftField, _besov_stack, drift_norms
-from .errors import HorizonTooSmall, NoConvergence
+from .dyadic import DriftField, drift_norms
+from .errors import NoConvergence
 from .parametrix import (_check_horizon, _heat_stack, _neg_div_hat, _trapezoid,
                          time_nodes)
 
 __all__ = [
     "TimeField",
-    "ContractionPlan",
     "theta_apply",
-    "step_horizon",
     "picard_solve",
-    "weighted_norm",
     "gamma_via_cauchy",
 ]
 
-_BETA = 1.6  # target regularity of the plan, in (1 + alpha, 2 - alpha)
 _M = 96  # quadrature intervals per slab
-_MIN_DT = 1e-4  # a shorter contraction horizon raises HorizonTooSmall
-#: Picard iterations per segment.  report["factor"] is the calibrated estimate
-#: of the contraction rate, not a bound on it: constant drift at amplitude 4
-#: (n=128, L=8*pi, phi = p(0.05, .), T=1, tol=1e-9) reports 0.497 yet needs 46
-#: and 32 iterations, so it raises NoConvergence
+_MIN_DT = 1e-4  # a slab that would be halved below this raises NoConvergence
+#: Picard iterations per slab; a slab still above tol after them is halved.
+#: Constant drift at amplitude 4 (n=128, L=8*pi, phi = p(0.05, .), T=1,
+#: tol=1e-9) fails on [0, 1] and [0, 1/2], then converges on three slabs
 _MAX_ITER = 40
 
 
@@ -68,15 +60,6 @@ class TimeField:
         return g.GridField(self.spec, self.values[-1])
 
 
-@dataclass(frozen=True)
-class ContractionPlan:
-    """Step horizon and segment cover with estimated contraction factor."""
-
-    t0: float
-    factor: float
-    segments: tuple
-
-
 def theta_apply(base: TimeField, b: DriftField, v: TimeField,
                 offset: float = 0.0) -> TimeField:
     """One application of the Duhamel map to v: base + G[v] on v's nodes.
@@ -85,7 +68,7 @@ def theta_apply(base: TimeField, b: DriftField, v: TimeField,
     the exponential trapezoid of w_s = -div(b_{offset+s} v_s), formed on the
     whole node stack on half spectra (one `grid.rfft` per drift component)
     and returned in one `grid.irfft`.
-    `offset` shifts the drift clock (segment restarts evaluate the drift at
+    `offset` shifts the drift clock (later slabs evaluate the drift at
     absolute time offset + s).
     """
     if not np.array_equal(base.times, v.times):
@@ -94,44 +77,6 @@ def theta_apply(base: TimeField, b: DriftField, v: TimeField,
     w_hat = _neg_div_hat(spec, b.at_time(offset + v.times), v.values)
     G = g.irfft(spec, _trapezoid(spec, w_hat, v.times))
     return TimeField(spec, v.times, base.values + G)
-
-
-def step_horizon(X: float, Y: float, alpha: float, beta: float,
-                 c_fit: float = 1.0, T: float = 1.0) -> ContractionPlan:
-    """Largest slab length with c_fit * t0^{1-(alpha+beta)/2} * (X+Y) <= 1/2.
-
-    X and Y are the drift's controlling norms; beta is the target regularity,
-    constrained to (1+alpha, 2-alpha).  Segments tile [0, T] equally with
-    length <= t0; t0 below `_MIN_DT` raises HorizonTooSmall.
-    """
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 1/2), got {alpha}")
-    if not (1 + alpha) < beta < (2 - alpha):
-        raise ValueError(f"beta must be in (1+alpha, 2-alpha), got {beta}")
-    expo = 1.0 - (alpha + beta) / 2.0
-    strength = X + Y
-    if strength <= 0:
-        return ContractionPlan(t0=T, factor=0.0, segments=((0.0, T),))
-    t0 = min(T, (0.5 / (c_fit * strength)) ** (1.0 / expo))
-    if t0 < _MIN_DT:
-        raise HorizonTooSmall(
-            f"contraction horizon {t0:.3g} below one time step {_MIN_DT:.3g}"
-        )
-    nseg = max(1, ceil(T / t0 - 1e-12))
-    edges = np.linspace(0.0, T, nseg + 1)
-    segments = tuple((float(a), float(bnd)) for a, bnd in zip(edges[:-1], edges[1:]))
-    seg_len = T / nseg
-    factor = c_fit * seg_len**expo * strength
-    return ContractionPlan(t0=float(t0), factor=float(factor), segments=segments)
-
-
-def weighted_norm(v: TimeField, delta: float, idx: BesovIndex) -> float:
-    """Blow-up norm: sup over nodes of s^delta * ||v_s||_B."""
-    w = np.array([s**delta if (s > 0 or delta == 0) else 0.0 for s in v.times])
-    keep = w != 0.0
-    if not keep.any():
-        return 0.0
-    return float((w[keep] * _besov_stack(v.spec, v.values[keep], idx)).max())
 
 
 def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, times: np.ndarray,
@@ -151,82 +96,54 @@ def _iterates(spec: g.GridSpec, data: np.ndarray, b: DriftField, times: np.ndarr
 
 def picard_solve(phi: g.GridField, b: DriftField, T: float,
                  tol: float = 1e-8) -> TimeField:
-    """Iterate the Duhamel map to its fixed point over contraction segments.
+    """Iterate the Duhamel map to its fixed point, halving slabs that do not
+    converge.
 
-    The contraction constant is calibrated from the first two iterate ratios
-    (the spec'd a-priori exponent alone would collapse the horizon for any
-    moderate drift); the plan is re-derived with the measured constant and the
-    slab is halved until the measured factor is <= 1/2.  Segments restart with
-    the previous terminal slice as new data.  When the first segment's nodes
-    equal the last trial slab's, it continues that trial's iterates (the two
-    calibration iterates count as its first two).  Raises NoConvergence if a
-    segment hits `_MAX_ITER` iterations with residual above tol, and the
-    series' ValueError or WraparoundRisk for a horizon T it would refuse.
+    [0, T] starts as one slab and slabs are taken depth first.  A slab whose
+    iterates change by at most tol (sup norm) within `_MAX_ITER` iterations is
+    accepted, and its last iterate is the solve there; one that does not is
+    halved, and both halves are solved in turn.  Each slab restarts from the
+    previous accepted slab's terminal slice.  Raises NoConvergence if a halved
+    slab would be shorter than `_MIN_DT`, and the series' ValueError or
+    WraparoundRisk for a horizon T it would refuse.
 
-    X+Y only selects the zero-drift branch and fills report["X"]/["Y"]: the
-    calibrated c_fit * (X+Y) = rho / trial^expo, so slab length and `factor`
-    do not depend on it; `factor` is an estimate, not a bound (`_MAX_ITER`).
-    `drift_norms` computes them once per drift, so a second solve on the same
-    drift reads them back.  report["calibration"] holds the trial slab and its
-    measured ratio rho (None for zero drift).
+    report: "segments" (accepted slabs), "iterations" (per accepted slab),
+    "final_residual" (of the last one) and the drift's norms "X", "Y", which
+    `drift_norms` computes once per drift.
     """
     _check_horizon(b, T)
     spec = phi.spec
-    alpha = b.alpha
     X, Y = drift_norms(b)
-    expo = 1.0 - (alpha + _BETA) / 2.0
-    strength = X + Y
-
-    # calibrate the contraction constant on a trial slab
-    calibration = None
-    c_fit = 1.0
-    opening = None  # the last trial's nodes and its iterates, first two replayed
-    if strength > 0:
-        trial = min(T, 0.5)
-        while True:
-            times = time_nodes(trial, _M)
-            steps = _iterates(spec, phi.values, b, times)
-            first_two = list(islice(steps, 2))
-            (_, d1), (_, d2) = first_two
-            rho = d2 / d1 if d1 > 0 else 0.0
-            if rho < 0.5 or trial < 1e-3:
-                break
-            trial /= 2.0
-        opening = (times, chain(first_two, steps))
-        calibration = {"trial": trial, "rho": rho}
-        c_fit = max(rho, 1e-12) / (trial**expo * strength)
-    plan = step_horizon(X, Y, alpha, _BETA, c_fit=c_fit, T=T)
-
     all_times = [np.array([0.0])]
     all_vals = [phi.values[None]]
     data = phi.values
     iters = []
-    for (a, bnd) in plan.segments:
-        times = time_nodes(bnd - a, _M)
-        if opening is not None and np.array_equal(times, opening[0]):
-            steps = opening[1]  # first segment: same data, nodes and offset 0
-        else:
-            steps = _iterates(spec, data, b, times, offset=a)
-        opening = None
+    slabs = [(0.0, T)]
+    while slabs:
+        a, bnd = slabs.pop()
+        steps = _iterates(spec, data, b, time_nodes(bnd - a, _M), offset=a)
         for it, (v, res) in enumerate(steps, 1):
-            if res <= tol:
+            if res <= tol or it == _MAX_ITER:
                 break
-            if it >= _MAX_ITER:
-                raise NoConvergence(f"segment at offset {a:g} hit max_iter={_MAX_ITER} "
-                                    f"with residual {res:.3e}")
+        if res > tol:
+            mid = (a + bnd) / 2.0
+            if mid - a < _MIN_DT:
+                raise NoConvergence(f"slab [{a:g}, {bnd:g}] hit max_iter={_MAX_ITER} "
+                                    f"with residual {res:.3e}; its halves would be "
+                                    f"shorter than {_MIN_DT:g}")
+            slabs += [(mid, bnd), (a, mid)]
+            continue
         iters.append(it)
         all_times.append(a + v.times[1:])
         all_vals.append(v.values[1:])
         data = v.values[-1]
     full = TimeField(spec, np.concatenate(all_times), np.concatenate(all_vals))
     full.report = {
-        "segments": len(plan.segments),
-        "factor": plan.factor,
+        "segments": len(iters),
         "iterations": iters,
         "final_residual": res,
         "X": X,
         "Y": Y,
-        "calibration": calibration,
     }
     return full
 

@@ -37,10 +37,6 @@ class NoDecay(HeatLabError, RuntimeError):
     """Series terms fail to decay within the allowed number of terms."""
 
 
-class HorizonTooSmall(HeatLabError, RuntimeError):
-    """Contraction horizon collapsed below one time step; drift too strong."""
-
-
 class NoConvergence(HeatLabError, RuntimeError):
     """Fixed-point iteration hit the iteration cap with residual above tolerance."""
 

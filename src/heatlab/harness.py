@@ -312,7 +312,8 @@ def _cmd_escape(config):
         p_hat, (lo, hi) = montecarlo.escape_prob(ens, K)
         oracle = montecarlo.reflection_escape_oracle(K, T)
         oracle_sh = montecarlo.reflection_escape_oracle(K + shift, T)
-        ok = (oracle_sh - 4 * (hi - lo) <= p_hat <= oracle + 4 * (hi - lo))
+        half = (hi - lo) / 2
+        ok = oracle_sh - 4 * half <= p_hat <= oracle + 4 * half
         rows.append((K, p_hat, lo, hi, oracle, oracle_sh, ok))
     return ["K", "p_hat", "ci_lo", "ci_hi", "oracle", "oracle_shifted", "ok"], rows
 
@@ -335,12 +336,12 @@ def _cmd_grr(config):
     rs = np.geomspace(1e-6, 1e6, 49)
     zeta, psi = montecarlo.modulus_functions(rs)
     ratio = psi / zeta
-    # psi(sqrt(a b)) <= sqrt(2) psi(a) psi(b) on a 20 x 20 table, psi in closed form
+    # psi(a b) <= sqrt(2) psi(a) psi(b) on a 20 x 20 table, psi in closed form
     rr = np.geomspace(1e-3, 1.0, 20)
-    zz = np.sqrt(rr[:, None] * rr[None, :])
-    psi_rs = np.sqrt(zz) * np.sqrt(np.maximum(np.log(1.0 / zz), 1.0))
+    zz = rr[:, None] * rr[None, :]
+    psi_ab = np.sqrt(zz) * np.sqrt(np.maximum(np.log(1.0 / zz), 1.0))
     psi_r = np.sqrt(rr) * np.sqrt(np.maximum(np.log(1 / rr), 1))
-    sub_max = (psi_rs / (np.sqrt(2) * psi_r[:, None] * psi_r[None, :])).max()
+    sub_max = (psi_ab / (np.sqrt(2) * psi_r[:, None] * psi_r[None, :])).max()
     rows = [
         ("paths", n_keep), ("pairs_per_path", 50), ("violations", viol),
         ("max_ratio", max_ratio), ("F_max", F_max),

@@ -14,8 +14,12 @@ the kernel keeps unit mass to machine precision.  The Duhamel integrals G_k
 are propagated node-to-node with the exact heat factor and trapezoidal panels
 (exponential trapezoid); the node grid is quadratically graded toward both
 endpoints, which absorbs the square-root endpoint singularities of the first
-family.  For constant drift each panel integrand is constant in r, so the
-scheme reproduces the shifted Gaussian up to series truncation alone.
+family.  For constant drift the trapezoid is exact for the first two
+families only, whose integrands are constant and linear in r; from the third
+on, P_{s-r} Psi^k_r is a polynomial of degree k-1 in r, so the kernel keeps a
+second-order quadrature error.  Against the shifted Gaussian (constant drift
+1, t=1, n=256, K_max=20, tol=1e-12) it is 4.6e-5, 1.2e-5, 2.9e-6 and 7.2e-7
+of the peak at m = 64, 128, 256 and 512: 4x less per doubling of m.
 
 The series terms are the differences of Picard iterates of the Duhamel map
 started from the point source, so one spectral Duhamel engine serves this

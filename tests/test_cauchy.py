@@ -1,10 +1,10 @@
-"""Fixed-point solver: Duhamel map, contraction planning, kernel route."""
+"""Fixed-point solver: Duhamel map, slab halving, kernel route."""
 
 import numpy as np
 import pytest
 
 from heatlab import cauchy as cy, drifts, dyadic as dy, grid as g, parametrix as px
-from heatlab.errors import HorizonTooSmall, WraparoundRisk
+from heatlab.errors import NoConvergence, WraparoundRisk
 
 
 def _heat_time_field(spec, phi, times):
@@ -130,20 +130,22 @@ def test_theta_apply_transforms_only_the_duhamel_stack(monkeypatch, d, n):
     assert calls == {"fft": 0, "ifft": 0, "rfft": d, "irfft": 1}
 
 
+def _strong_constant(spec):
+    # fails on [0, 1] and [0, 1/2] at tol=1e-9, so it is solved on three slabs
+    return drifts.constant_drift(spec, 4.0), g.gaussian_shifted(spec, 0.05, 0.0)
+
+
 def test_picard_builds_one_heat_base_per_slab(monkeypatch, spec8pi_small):
-    # three calibration trials and three segments on a time-dependent drift
-    spec = spec8pi_small
-    b = drifts.make_preset("traveling-mode", spec, amplitude=2.0, horizon=1.0)
-    phi = g.gaussian_shifted(spec, 0.05, 0.0)
+    # every slab tried, accepted or halved, builds one heat base: a full
+    # binary tree with `segments` leaves has 2 * segments - 1 nodes
+    b, phi = _strong_constant(spec8pi_small)
     norms = dy.drift_norms(b)
     monkeypatch.setattr(cy, "drift_norms", lambda _b: norms)
     calls = _count_transforms(monkeypatch)
-    v = cy.picard_solve(phi, b, T=1.0, tol=1e-9)
-    rep = v.report
-    trials = round(np.log2(0.5 / rep["calibration"]["trial"])) + 1
-    slabs = trials + rep["segments"]
-    thetas = 2 * trials + sum(rep["iterations"])
-    assert trials > 1 and rep["segments"] > 1
+    rep = cy.picard_solve(phi, b, T=1.0, tol=1e-9).report
+    slabs = 2 * rep["segments"] - 1
+    thetas = sum(rep["iterations"]) + cy._MAX_ITER * (rep["segments"] - 1)
+    assert rep["segments"] > 1
     assert calls == {"fft": 0, "ifft": 0, "rfft": thetas + slabs, "irfft": thetas + slabs}
 
 
@@ -164,13 +166,14 @@ def _picard_reference(phi, b, plan, tol):
     return data, iters
 
 
-@pytest.mark.parametrize("amplitude, T", [(1.0, 0.25), (4.0, 1.0)],
-                         ids=["one-segment", "two-segments"])
-def test_first_segment_continues_the_calibration_iterates(monkeypatch, spec8pi_small,
-                                                          amplitude, T):
-    # the trial slab is the first segment: its two calibration iterates open
-    # it, so only the halved trials cost extra theta applications
-    b = drifts.single_mode_drift(spec8pi_small, amplitude=amplitude)
+@pytest.mark.parametrize("make_drift, T", [
+    (lambda spec: drifts.single_mode_drift(spec, amplitude=1.0), 0.25),
+    (lambda spec: drifts.constant_drift(spec, 4.0), 1.0),
+], ids=["one-slab", "three-slabs"])
+def test_picard_halves_only_the_slabs_that_fail(monkeypatch, spec8pi_small, make_drift, T):
+    # a slab that fails costs exactly _MAX_ITER theta applications; the
+    # accepted slabs' iterates are the solve, bit for bit
+    b = make_drift(spec8pi_small)
     phi = g.gaussian_shifted(spec8pi_small, 0.05, 0.3)
     thetas = [0]
     theta = cy.theta_apply
@@ -182,14 +185,34 @@ def test_first_segment_continues_the_calibration_iterates(monkeypatch, spec8pi_s
     monkeypatch.setattr(cy, "theta_apply", counting)
     v = cy.picard_solve(phi, b, T=T, tol=1e-9)
     rep = v.report
-    edges = np.linspace(0.0, T, rep["segments"] + 1)
-    assert edges[1] == rep["calibration"]["trial"]
-    trials = round(np.log2(min(T, 0.5) / rep["calibration"]["trial"])) + 1
-    assert thetas[0] == sum(rep["iterations"]) + 2 * (trials - 1)
+    assert thetas[0] == sum(rep["iterations"]) + cy._MAX_ITER * (rep["segments"] - 1)
+    assert max(rep["iterations"]) <= cy._MAX_ITER
+    edges = v.times[::cy._M]
+    assert len(edges) == rep["segments"] + 1 and edges[-1] == T
     monkeypatch.setattr(cy, "theta_apply", theta)
     terminal, iters = _picard_reference(phi, b, zip(edges[:-1], edges[1:]), 1e-9)
     assert iters == rep["iterations"]
     assert v.values[-1].tobytes() == terminal.tobytes()
+
+
+def test_picard_halves_a_strong_drift_to_convergence(spec8pi_small):
+    # the a-priori contraction plan raised NoConvergence here
+    spec = spec8pi_small
+    b, phi = _strong_constant(spec)
+    v = cy.picard_solve(phi, b, T=1.0, tol=1e-9)
+    expect = g.gaussian_shifted(spec, 1.05, 4.0).values
+    assert v.report["segments"] == 3
+    assert np.abs(v.terminal().values - expect).max() < 1e-3 * expect.max()
+
+
+def test_picard_refuses_slabs_below_the_floor(monkeypatch, spec8pi_small):
+    # two iterations never reach tol: [0, 1], [0, 1/2] and [0, 1/4] fail,
+    # and halves of 1/8 would fall below the floor
+    b, phi = _strong_constant(spec8pi_small)
+    monkeypatch.setattr(cy, "_MAX_ITER", 2)
+    monkeypatch.setattr(cy, "_MIN_DT", 0.2)
+    with pytest.raises(NoConvergence, match=r"slab \[0, 0.25\]"):
+        cy.picard_solve(phi, b, T=1.0, tol=1e-9)
 
 
 def test_theta_apply_rejects_base_on_other_nodes(spec8pi_small):
@@ -214,24 +237,6 @@ def test_both_routes_refuse_the_same_horizons(spec8pi_small, preset, t, error):
     with pytest.raises(Exception) as fixed:
         cy.gamma_via_cauchy(b, t, 0.0)
     assert series.type is fixed.type is error
-
-
-def test_step_horizon_plan():
-    plan = cy.step_horizon(0.0, 0.0, 0.25, 1.5, T=2.0)
-    assert plan.t0 == 2.0 and plan.factor == 0.0 and len(plan.segments) == 1
-    p1 = cy.step_horizon(1.0, 0.5, 0.25, 1.5, c_fit=0.4, T=10.0)
-    p2 = cy.step_horizon(2.0, 1.0, 0.25, 1.5, c_fit=0.4, T=10.0)
-    expo = 1 - (0.25 + 1.5) / 2
-    assert abs(p2.t0 / p1.t0 - 2.0 ** (-1 / expo)) < 0.1 * 2.0 ** (-1 / expo)
-    assert p1.factor <= 0.5 + 1e-12
-    # segments tile [0, T]
-    assert p1.segments[0][0] == 0.0 and p1.segments[-1][1] == 10.0
-    for (a, bnd), (a2, _) in zip(p1.segments, p1.segments[1:]):
-        assert abs(bnd - a2) < 1e-12
-    with pytest.raises(HorizonTooSmall):
-        cy.step_horizon(50.0, 50.0, 0.25, 1.5, c_fit=5.0, T=1.0)
-    with pytest.raises(ValueError):
-        cy.step_horizon(1.0, 0.0, 0.25, 2.5)
 
 
 def test_picard_heat_flow(spec8pi_small):
@@ -284,59 +289,18 @@ def test_picard_contraction_and_uniqueness(spec8pi_small):
 
 
 def test_picard_report_contraction_factor(spec8pi_small):
+    # the report states what the slabs measured, not an a-priori factor
     spec = spec8pi_small
     b = drifts.single_mode_drift(spec, amplitude=4.0)  # strong: X+Y ~ 2.8
     phi = g.GridField(spec, g.gaussian_shifted(spec, 0.05, 0.0).values)
     v = cy.picard_solve(phi, b, T=1.0, tol=1e-9)
-    assert v.report["factor"] <= 0.5 + 1e-9
-    assert v.report["final_residual"] <= 1e-9
+    rep = v.report
+    assert rep.keys() == {"segments", "iterations", "final_residual", "X", "Y"}
+    assert rep["final_residual"] <= 1e-9
+    assert len(rep["iterations"]) == rep["segments"]
+    assert max(rep["iterations"]) <= cy._MAX_ITER
+    assert (rep["X"], rep["Y"]) == dy.drift_norms(b)
     assert v.times[-1] == 1.0
-    cal = v.report["calibration"]
-    assert cal["rho"] < 0.5 or cal["trial"] < 1e-3
-
-
-def test_weighted_norm(spec8pi_small):
-    spec = spec8pi_small
-    idx = dy.BesovIndex(0.5, np.inf, np.inf)
-    const = cy.TimeField(spec, np.array([0.0, 0.5, 1.0]),
-                         np.stack([g.gaussian(spec, 1.0).values] * 3))
-    assert abs(cy.weighted_norm(const, 0.0, idx)
-               - dy.besov_norm(g.gaussian(spec, 1.0), idx)) < 1e-12
-    # delta data: s^{(beta-gamma)/2} ||P_s delta||_{B^beta} stays bounded as
-    # s decreases (down to the grid resolution time ~ xi_max^{-2})
-    beta, gamma_reg = 1.5, -1.0  # delta in d=1 has regularity -d at p=inf
-    times = np.geomspace(0.02, 0.5, 12)
-    vals = np.stack([g.semigroup_apply(g.discrete_delta(spec), s).values for s in times])
-    v = cy.TimeField(spec, times, vals)
-    idx_b = dy.BesovIndex(beta, np.inf, np.inf)
-    prods = [s ** ((beta - gamma_reg) / 2)
-             * dy.besov_norm(g.GridField(spec, vals[j]), idx_b)
-             for j, s in enumerate(times)]
-    assert max(prods) / min(prods) < 5
-    # monotone nonincreasing in delta for horizons <= 1
-    n0 = cy.weighted_norm(v, 0.0, idx_b)
-    n1 = cy.weighted_norm(v, 0.5, idx_b)
-    n2 = cy.weighted_norm(v, 1.5, idx_b)
-    assert n0 >= n1 >= n2
-
-
-@pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
-def test_weighted_norm_matches_the_per_node_loop(d, n):
-    # one stacked Besov sum gives every node the bits of besov_norm_values on
-    # that node alone, finite integrability and summability included
-    spec = g.make_grid(d, n, 8 * np.pi)
-    rng = np.random.default_rng(0)
-    times = np.linspace(0.0, 1.0, 41)
-    for _ in range(4):
-        scale = rng.uniform(0.1, 10.0, (len(times),) + (1,) * d)
-        vals = rng.standard_normal((len(times),) + spec.shape) * scale
-        v = cy.TimeField(spec, times, vals)
-        for p, q in ((1, 2), (2, 3.5), (3.5, 1), (3.5, np.inf), (np.inf, 2)):
-            idx = dy.BesovIndex(0.3, p, q)
-            for delta in (0.0, 0.5):
-                loop = max(s**delta * dy.besov_norm_values(spec, vals[j], idx)
-                           for j, s in enumerate(times) if s > 0 or delta == 0)
-                assert cy.weighted_norm(v, delta, idx) == loop
 
 
 def test_gamma_via_cauchy_zero_drift(spec8pi_small):

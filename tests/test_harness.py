@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from heatlab import cli, drifts, dyadic, harness, parametrix as px
+from heatlab import cli, drifts, dyadic, harness, montecarlo, parametrix as px
 
 
 LIGHT = {
@@ -92,6 +92,36 @@ def test_run_escape_subcommand(tmp_path):
     for ln in lines[5:]:
         K, p_hat, lo, hi = (float(v) for v in ln.split(",")[:4])
         assert 0 <= lo <= p_hat <= hi <= 1
+
+
+def test_escape_ok_uses_the_half_width_of_the_interval(tmp_path, monkeypatch):
+    # p_hat six half-widths above the oracle: outside the c12 bracket of four
+    # half-widths, inside a bracket of four full widths
+    T = harness.ExperimentConfig.default()["mc.T"]
+
+    def escape_prob(_ens, K):
+        half = 0.01
+        p_hat = montecarlo.reflection_escape_oracle(K, T) + 6 * half
+        return p_hat, (p_hat - half, p_hat + half)
+
+    monkeypatch.setattr(montecarlo, "escape_prob", escape_prob)
+    cfg = harness.ExperimentConfig.default(**LIGHT)
+    status, paths = harness.run("escape", cfg, tmp_path)
+    assert status == 0
+    oks = [ln.split(",")[-1] for ln in paths[0].read_text().splitlines()[5:]]
+    assert oks == ["false"] * len(cfg["escape.radii"])
+
+
+def test_grr_report_bounds_psi_of_the_product(tmp_path):
+    # psi(a b) <= sqrt(2) psi(a) psi(b), the form of c13, on the c14 config
+    cfgf = tmp_path / "c14.cfg"
+    cfgf.write_text("mc.N = 20000\nmc.h_t = 0.005\nmc.keep_paths = 30\n"
+                    "truncation.K_max = 12\ntruncation.m = 96\nibound.k_max = 2\n"
+                    "ibound.times = 0.5\n")
+    status, paths = harness.run("grr", harness.ExperimentConfig.from_file(cfgf), tmp_path)
+    assert status == 0
+    rows = dict(ln.split(",") for ln in paths[0].read_text().splitlines()[5:])
+    assert float(rows["submultiplicativity_max"]) <= 1 + 1e-12
 
 
 def test_every_subcommand_reports_on_a_2d_grid(tmp_path):
