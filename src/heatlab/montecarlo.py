@@ -3,16 +3,24 @@
 Euler-Maruyama under smooth (mollified) drift with counter-based randomness:
 every normal increment is addressed by its absolute index (path, step,
 component), so ensembles are bit-identical under any chunking or thread
-schedule.  Derived statistics: kernel density estimates on the grid (the KDE
-of box-wrapped samples estimates exactly the periodized transition density),
-escape probabilities with Wilson intervals, and the path-modulus machinery
-(double-integral functional, modulus inequality checks, exponential
-sup-moments).  Fixed: `simulate` refines drift slices by `_UPSAMPLE`, and
-the reflection oracle sums `_IMAGE_TERMS` images on each side.
+schedule.  `simulate` splits the paths into contiguous slices, one per CPU in
+the affinity mask but none smaller than `_MIN_SLICE` paths; each slice runs
+on a worker thread with its own drift interpolator and marches its rows
+through every step, so the threads join once per run.  A single slice runs
+inline and starts no pool.  Derived statistics: kernel density estimates on
+the grid (the KDE of box-wrapped samples estimates exactly the periodized
+transition density), escape probabilities with Wilson intervals, and the
+path-modulus machinery (double-integral functional, modulus inequality
+checks, exponential sup-moments).  Fixed: `simulate` refines drift slices by
+`_UPSAMPLE`, and the reflection oracle sums `_IMAGE_TERMS` images on each
+side.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -39,6 +47,9 @@ __all__ = [
 ]
 
 _UPSAMPLE = 16  # spectral refinement of the drift table
+# fewest paths a worker thread gets: below it the per-step Python work of two
+# threads contending for the interpreter lock outweighs the split
+_MIN_SLICE = 1 << 14
 _IMAGE_TERMS = 64  # image-series half-width of the reflection oracle
 
 
@@ -83,7 +94,9 @@ class _DriftInterp:
     entries nf and nf+1).  Only the slice of the current time index is kept:
     simulate marches forward and never reads an earlier one again.  `eval`
     works on work buffers kept on the interpolator and sized to the largest
-    batch of positions seen, so repeated reads allocate nothing.
+    batch of positions seen, so repeated reads allocate nothing.  Neither the
+    buffers nor the cached slice may be shared between threads: `simulate`
+    gives each path slice its own interpolator.
     """
 
     def __init__(self, b: DriftField):
@@ -185,8 +198,8 @@ class Ensemble:
     meta: dict = field(default_factory=dict)
 
     def positions(self, t: float) -> np.ndarray:
-        key = min(self.snapshots, key=lambda s: abs(s - t))
-        if abs(key - t) > self.h_t / 2 + 1e-12:
+        key = min(self.snapshots, key=lambda s: abs(s - t), default=None)
+        if key is None or abs(key - t) > self.h_t / 2 + 1e-12:
             raise KeyError(f"time {t} not among stored snapshots {sorted(self.snapshots)}")
         return self.snapshots[key]
 
@@ -198,6 +211,18 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     Paths are unwrapped (positions live on the line/plane); the drift is read
     through periodic trigonometric interpolation.  Increment indexing is
     (step, path, component), so results are independent of `chunk`.
+
+    The paths are split into contiguous slices, one per CPU in the affinity
+    mask and each at least `_MIN_SLICE` paths long.  Every slice marches its
+    own rows through all steps on a worker thread, with its own
+    `_DriftInterp` (whose d=1 `eval` buffers and cached drift slice are not
+    shared), and writes only its own rows of the positions, `sup_dev`, the
+    kept paths and the snapshots.  It reads the same counter addresses as one
+    serial loop, so the ensemble is bit-identical for any CPU count and any
+    `chunk`.  With one slice the march runs inline and starts no pool.
+
+    Snapshot times must be multiples of `h_t` in [0, T], within the 1e-9
+    that `T` itself must meet; positions are recorded at the end of a step.
     """
     spec = b_smooth.spec
     if h_t > 1e-2 + 1e-15:
@@ -212,38 +237,57 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,))
     if snapshot_times is None:
         snapshot_times = [T]
-    snap_steps = {int(round(t / h_t)): float(t) for t in snapshot_times}
-    interp = _DriftInterp(b_smooth)
+    snap_steps = {}
+    for t in snapshot_times:
+        step = int(round(t / h_t))
+        if not 0 <= step <= n_steps:
+            raise ValueError(f"snapshot time {t} lies outside [0, T={T}]")
+        if abs(step * h_t - t) > 1e-9:
+            raise ValueError(f"snapshot time {t} is not a multiple of h_t={h_t}")
+        snap_steps[step] = float(t)
     t_idx = b_smooth.time_index(h_t * np.arange(n_steps))
     keep_paths = min(keep_paths, N)
 
     X = np.tile(x0, (N, 1))
     sup_dev = np.zeros(N)
-    snapshots = {}
     kept = np.empty((keep_paths, n_steps + 1, d)) if keep_paths else np.empty((0, 0, d))
     if keep_paths:
         kept[:, 0] = X[:keep_paths]
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = X.copy()
+    # every snapshot array exists before a slice runs; slices fill their rows
+    snap_at = {s: X.copy() if s == 0 else np.empty_like(X) for s in snap_steps}
     sqdt = np.sqrt(h_t)
-    for j in range(n_steps):
-        base = j * N * d
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            xi = counter_normals(seed, base + lo * d, (hi - lo) * d).reshape(hi - lo, d)
-            # X += drift * h_t + sqdt * xi, in place and bit for bit
-            xi *= sqdt
-            if sup_b > 0:
-                drift = interp.eval(t_idx[j], X[lo:hi])
-                drift *= h_t
-                xi += drift
-            X[lo:hi] += xi
-        dev = X[:, 0] - x0[0] if d == 1 else np.linalg.norm(X - x0, axis=1)
-        np.maximum(sup_dev, np.abs(dev, out=dev), out=sup_dev)
-        if keep_paths:
-            kept[:, j + 1] = X[:keep_paths]
-        if (j + 1) in snap_steps:
-            snapshots[snap_steps[j + 1]] = X.copy()
+
+    def march(first: int, last: int):
+        """Rows first..last-1 through every step, one chunk at a time."""
+        interp = _DriftInterp(b_smooth)
+        rows = X[first:last]
+        sup = sup_dev[first:last]
+        n_kept = max(0, min(keep_paths, last) - first)
+        for j in range(n_steps):
+            base = j * N * d
+            for lo in range(first, last, chunk):
+                hi = min(lo + chunk, last)
+                xi = counter_normals(seed, base + lo * d, (hi - lo) * d).reshape(hi - lo, d)
+                # X += drift * h_t + sqdt * xi, in place and bit for bit
+                xi *= sqdt
+                if sup_b > 0:
+                    drift = interp.eval(t_idx[j], X[lo:hi])
+                    drift *= h_t
+                    xi += drift
+                X[lo:hi] += xi
+            dev = rows[:, 0] - x0[0] if d == 1 else np.linalg.norm(rows - x0, axis=1)
+            np.maximum(sup, np.abs(dev, out=dev), out=sup)
+            if n_kept:
+                kept[first:first + n_kept, j + 1] = rows[:n_kept]
+            if (j + 1) in snap_at:
+                snap_at[j + 1][first:last] = rows
+
+    workers = max(1, min(len(os.sched_getaffinity(0)), N // _MIN_SLICE))
+    edges = [N * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        list(run(march, edges[:-1], edges[1:]))
+    snapshots = {snap_steps[s]: snap_at[s] for s in sorted(snap_at)}
     return Ensemble(
         spec=spec, N=N, h_t=h_t, T=T, x0=x0, seed=seed, drift_tag=b_smooth.tag,
         snapshot_times=np.asarray(sorted(snapshots)), snapshots=snapshots,

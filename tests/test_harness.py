@@ -189,31 +189,37 @@ def test_cli_main(tmp_path, capsys):
 
 
 def test_cli_threads_caps_the_cpus_of_the_run(tmp_path, monkeypatch):
-    # --threads N runs on at most N CPUs, so --threads 1 starts no series pool;
-    # the mask is put back afterwards
+    # --threads N runs on at most N CPUs, so --threads 1 starts neither a
+    # series pool nor a Monte Carlo pool; the mask is put back afterwards
     before = os.sched_getaffinity(0)
     seen = []
 
-    class Recording(px.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            seen[-1]["pool"] = max_workers
-            super().__init__(max_workers)
+    def recording(base, key):
+        class Recording(base):
+            def __init__(self, max_workers):
+                seen[-1][key] = max_workers
+                super().__init__(max_workers)
+        return Recording
 
     def fake_run(subcommand, config, out_dir):
-        seen.append({"cpus": os.sched_getaffinity(0), "pool": None})
+        seen.append({"cpus": os.sched_getaffinity(0), "pool": None, "mc_pool": None})
         b = drifts.single_mode_drift(config.spec(), amplitude=1.0)
         px.gamma_series(b, 0.5, np.linspace(-5.0, 5.0, 64)[:, None], K_max=2, m=16)
+        montecarlo.simulate(b, 0.0, 0.01, 0.01, 2 * montecarlo._MIN_SLICE, seed=1)
         return 0, []
 
-    monkeypatch.setattr(px, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(px, "ThreadPoolExecutor", recording(px.ThreadPoolExecutor, "pool"))
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                        recording(montecarlo.ThreadPoolExecutor, "mc_pool"))
     monkeypatch.setattr(cli, "run", fake_run)
     for threads in ("1", "8"):
         assert cli.main(["parametrix", "--out", str(tmp_path), "--threads", threads]) == 0
         assert os.sched_getaffinity(0) == before
     one, eight = seen
-    assert one == {"cpus": {min(before)}, "pool": None}
+    assert one == {"cpus": {min(before)}, "pool": None, "mc_pool": None}
     assert eight["cpus"] == before
     assert eight["pool"] == (min(len(before), 2) if len(before) > 1 else None)
+    assert eight["mc_pool"] == (2 if len(before) > 1 else None)
     with pytest.raises(SystemExit):
         cli.main(["parametrix", "--out", str(tmp_path), "--threads", "0"])
 

@@ -1,5 +1,7 @@
 """Simulation, densities, escape probabilities, path modulus."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -183,15 +185,62 @@ def _ensemble_bytes(e):
 
 @pytest.mark.parametrize("case", sorted(_EULER_CASES))
 @pytest.mark.parametrize("chunk", [300, 1 << 20])
-def test_simulate_matches_serial_euler_reference(case, chunk):
+def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
+    # with the floor lowered, 700 paths split into one slice per CPU; chunk
+    # 300 cuts across slice edges and 240 kept paths span several slices.
+    # A short switch interval makes the threads interleave finely.
+    monkeypatch.setattr(mc, "_MIN_SLICE", 64)
     b, x0 = _EULER_CASES[case]()
     kw = dict(x0=x0, T=0.06, h_t=0.005, N=700, seed=21,
-              snapshot_times=[0.0, 0.03, 0.06], keep_paths=5, chunk=chunk)
-    e = mc.simulate(b, **kw)
+              snapshot_times=[0.0, 0.03, 0.06], keep_paths=240, chunk=chunk)
     snaps, sup_dev, kept = _reference_euler(b, **kw)
-    assert sorted(e.snapshots) == [0.0, 0.03, 0.06]
-    assert _ensemble_bytes(e) == ([s.tobytes() for s in snaps], sup_dev.tobytes(),
-                                  kept.tobytes())
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            e = mc.simulate(b, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(e.snapshots) == [0.0, 0.03, 0.06]
+        assert _ensemble_bytes(e) == ([s.tobytes() for s in snaps], sup_dev.tobytes(),
+                                      kept.tobytes()), cpus
+
+
+def test_monte_carlo_pool_size_follows_cpus_and_floor(monkeypatch):
+    pools = []
+
+    class Recording(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    b = drifts.single_mode_drift(g.make_grid(1, 128, 8 * np.pi), amplitude=1.0, xi0=1.0)
+    floor = mc._MIN_SLICE
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        for N in (64, 2 * floor - 1, 2 * floor, 3 * floor + 5):
+            pools.clear()
+            mc.simulate(b, 0.0, 0.005, 0.005, N, seed=3)
+            # no pool for one CPU or fewer than two floors of paths; else one
+            # worker per CPU, at most one per floor
+            assert pools == ([] if cpus == 1 or N < 2 * floor
+                             else [min(cpus, N // floor)]), (cpus, N)
+
+
+def test_simulate_rejects_snapshot_times_it_cannot_honour():
+    b = drifts.zero_drift(g.make_grid(1, 64, 8 * np.pi))
+    kw = dict(x0=0.0, T=0.1, h_t=0.01, N=10, seed=1)
+    for t in (2.0, -0.5, 0.0123, 0.1 + 1e-6):
+        with pytest.raises(ValueError, match=f"snapshot time {t}"):
+            mc.simulate(b, snapshot_times=[0.05, t], **kw)
+    # multiples of h_t within T's own 1e-9 tolerance are kept under their labels
+    e = mc.simulate(b, snapshot_times=[0.0, 0.03 + 1e-12, 0.1], **kw)
+    assert list(e.snapshot_times) == [0.0, 0.03 + 1e-12, 0.1]
+    assert np.array_equal(e.positions(0.1), mc.simulate(b, **kw).positions(0.1))
+    with pytest.raises(KeyError):
+        mc.simulate(b, snapshot_times=[], **kw).positions(0.1)
 
 
 def test_simulate_guards(spec8pi_small):
