@@ -30,7 +30,6 @@ __all__ = [
     "beta_fn",
     "beta_fn_quadrature",
     "m_delta",
-    "series_partial",
     "series_bound_L",
     "i_empirical",
     "i_rhs",
@@ -109,32 +108,6 @@ def _log_series(z: float, beta: float) -> float:
         window = np.arange(win_lo, hi + 1, dtype=float)
         ks = np.concatenate([head, window])
     return float(logsumexp(ks * logz - beta * gammaln(ks + 1)))
-
-
-def series_partial(z: float, beta: float, K: int):
-    """Partial sum of z^k/(k!)^beta up to K, with a remainder estimate.
-
-    Returns (value, remainder); the remainder is a geometric bound from the
-    next-term ratio when it is < 1, infinity otherwise.
-    """
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    ks = np.arange(0, K + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = np.where(ks == 0, 0.0, ks * np.log(z) if z > 0 else -np.inf)
-    logs = logs - beta * gammaln(ks + 1)
-    value = float(np.exp(logsumexp(logs)))
-    if z == 0:
-        return value, 0.0
-    ratio = z / (K + 1) ** beta
-    if ratio < 1:
-        last = np.exp((K + 1) * np.log(z) - beta * gammaln(K + 2))
-        rem = float(last / (1 - ratio))
-    else:
-        rem = np.inf
-    return value, rem
 
 
 def series_bound_L(beta: float) -> float:

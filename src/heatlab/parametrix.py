@@ -34,9 +34,13 @@ drift component.
 Every field of the engine is real, so it keeps half spectra, the bins
 [..., :n//2+1] of the last axis (`grid.rfft`, `grid.irfft`).  The drift
 products b_c v are real stacks.  The heat and derivative multipliers are the
-full ones sliced to the half spectrum (`_half`); this is exact, because
+full ones restricted to the half spectrum (`_half`); this is exact, because
 |xi|^2 is even and `grid.deriv_multiplier` zeroes the odd-order Nyquist mode,
 so both map the spectrum of a real field to the spectrum of a real field.
+The trapezoid's heat factors and half steps are built once per node grid,
+and -i xi once per grid, in small caches of read-only arrays
+(`_grid_constants`, `_neg_i_xi`): every series term, Richardson pass and
+Picard iterate on the same nodes reuses them.
 The source spectrum must not be sliced: `grid.delta_hat` of an off-grid
 source is not Hermitian on its Nyquist rows, and in d=2 its slice is not the
 half spectrum of any real field.  The engine takes the half spectrum of the
@@ -44,9 +48,10 @@ real field that the full spectrum stands for, rfft(ifft(delta_hat)).
 
 The engine writes into preallocated stacks and updates them in place: one
 real product buffer serves every drift component, and the trapezoid fills
-its node stack (or one rolling slice, for the Richardson pass) through one
-panel buffer.  The operation order is that of the formulas, so the results
-are the same bits as with a fresh temporary per operation.
+its node stack (or one rolling slice, for the Richardson pass) in chunks of
+`_CHUNK` nodes, with three in-place operations per panel.  The operation
+order is that of the formulas, so the results are the same bits as with a
+fresh temporary per operation.
 
 Sources may be batched: `y` with shape (B, d) yields fields with a leading
 batch axis throughout.  A batch runs in blocks of 32 sources (`_SOURCE_BLOCK`)
@@ -64,6 +69,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,9 +87,15 @@ __all__ = [
 
 #: sources per block of a batched series; a block's stacks are
 #: (m+1, _SOURCE_BLOCK, *shape), so this bounds the memory in flight per
-#: worker (256-source matrices at n=256, m=96 on 2 workers peaked at 340 MiB
-#: with blocks of 32, 421 with 64 and 439 with 128; 390 in one block)
+#: worker (`verify-lower` on the c14 config, six 256-source matrices at
+#: n=256, m=96, peaked on 2 workers at 238-239 MiB with blocks of 32,
+#: 269-273 with 64 and 353-378 with 128; 243 in one block)
 _SOURCE_BLOCK = 32
+
+#: trapezoid nodes per chunk: a chunk's weighted slices dt_j/2 w_j are formed
+#: by one multiply into a reused (_CHUNK, *slice) buffer, 528 KB for a
+#: 32-source block at n=256
+_CHUNK = 8
 
 
 def time_nodes(t: float, m: int) -> np.ndarray:
@@ -102,27 +114,54 @@ def _half(spec: g.GridSpec, mult: np.ndarray) -> np.ndarray:
     return mult[..., : spec.n // 2 + 1]
 
 
+@lru_cache(maxsize=8)
+def _neg_i_xi(spec: g.GridSpec) -> tuple:
+    """-(i xi_c) on the half spectrum, one read-only array per component,
+    with the Nyquist mode zeroed (`grid.deriv_multiplier`)."""
+    out = tuple(-_half(spec, g.deriv_multiplier(spec, mu))
+                for mu in np.eye(spec.d, dtype=int))
+    for mult in out:
+        mult.flags.writeable = False
+    return out
+
+
 def _neg_div_hat(spec: g.GridSpec, bs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Half spectrum of -div(b_s v_s) over a node stack, one transform per
     component.
 
     v is (m+1, *shape), or (m+1, B, *shape) with a batch axis after the nodes.
     Each product b_c v is formed in one real buffer shared by the components;
-    its half spectrum is multiplied in place by -i xi_c, whose Nyquist mode is
-    zeroed (`grid.deriv_multiplier`), and the components are summed in place.
-    Negation is exact, so this equals -sum_c (i xi_c) RFFT(b_c v) bit for bit,
-    up to the sign of a zero.
+    its half spectrum is multiplied in place by -i xi_c (`_neg_i_xi`, built
+    once per grid), and the components are summed in place.  Negation is
+    exact, so this equals -sum_c (i xi_c) RFFT(b_c v) bit for bit, up to the
+    sign of a zero.
     """
     bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
     prod = np.empty(v.shape)
     out = None
-    for c, mu in enumerate(np.eye(spec.d, dtype=int)):
+    for c, mult in enumerate(_neg_i_xi(spec)):
         f_hat = g.rfft(spec, np.multiply(bs[:, c], v, out=prod))
-        f_hat *= -_half(spec, g.deriv_multiplier(spec, mu))
+        f_hat *= mult
         if out is None:
             out = f_hat
         else:
             out += f_hat
+    return out
+
+
+@lru_cache(maxsize=8)
+def _grid_constants(spec: g.GridSpec, key: bytes) -> tuple:
+    """(H, halves) of the node grid whose times have the bytes `key`.
+
+    H[j] = exp(-dt_j |xi|^2/2) on the half spectrum and halves[j] = dt_j/2,
+    both complex128 (numpy casts a real factor to complex inside every mixed
+    multiply, so the products keep their bits) and read-only.
+    """
+    dts = np.diff(np.frombuffer(key))
+    H = np.exp(-dts.reshape((-1,) + (1,) * spec.d) * _half(spec, g.freq_sq(spec)) / 2.0)
+    out = (H.astype(complex), (dts / 2.0).astype(complex))
+    for arr in out:
+        arr.flags.writeable = False
     return out
 
 
@@ -132,25 +171,32 @@ def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
     G_m on the last node only when `last` is set.
 
     Exponential trapezoid G_{j+1} = H(dt_j) (G_j + dt_j/2 w_j) + dt_j/2 w_{j+1};
-    the heat factors of all panels come from one exponential.  Each node is
-    written in place into a preallocated stack through one panel buffer, in
-    the operation order of the formula; with `last` the stack is one rolling
-    slice.  `w_hat` is never written.
+    the heat factors and half steps are built once per node grid
+    (`_grid_constants`).  The nodes go in chunks of `_CHUNK`: a chunk's
+    a_j = dt_j/2 w_j fill one reused buffer and its b_j = dt_j/2 w_{j+1} go
+    straight into G_{j+1} (into a second chunk buffer with `last`, where the
+    stack is one rolling slice).  Each node then takes three in-place
+    operations, a_j + G_j, times H_j, added to b_j: the operation order of the
+    formula, so the result has its bits.  `w_hat` is never written.
     """
-    dts = np.diff(times)
-    H = _half(spec, g.heat_multiplier(spec, dts))
-    rows = 1 if last else len(times)
+    H, halves = _grid_constants(spec, np.asarray(times, dtype=float).tobytes())
+    halves = halves.reshape((-1,) + (1,) * (w_hat.ndim - 1))
+    m = len(times) - 1
+    rows = 1 if last else m + 1
     G_hat = np.empty((rows,) + w_hat.shape[1:], w_hat.dtype)
     G_hat[0] = 0
-    panel = np.empty_like(G_hat[0])
-    for j, dt in enumerate(dts):
-        half = dt / 2.0
-        np.multiply(w_hat[j], half, out=panel)
-        panel += G_hat[j % rows]
-        panel *= H[j]
-        nxt = G_hat[(j + 1) % rows]
-        np.multiply(w_hat[j + 1], half, out=nxt)
-        nxt += panel
+    a = np.empty((min(_CHUNK, m),) + w_hat.shape[1:], w_hat.dtype)
+    b_last = np.empty_like(a) if last else None
+    for j0 in range(0, m, _CHUNK):
+        j1 = min(j0 + _CHUNK, m)
+        np.multiply(w_hat[j0:j1], halves[j0:j1], out=a[:j1 - j0])
+        b = b_last[:j1 - j0] if last else G_hat[j0 + 1:j1 + 1]
+        np.multiply(w_hat[j0 + 1:j1 + 1], halves[j0:j1], out=b)
+        for i, j in enumerate(range(j0, j1)):
+            panel = a[i]
+            panel += G_hat[j % rows]
+            panel *= H[j]
+            np.add(b[i], panel, out=G_hat[(j + 1) % rows])
     return G_hat[0] if last else G_hat
 
 

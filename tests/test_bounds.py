@@ -55,21 +55,6 @@ def test_subadditive_power_identity():
         assert np.all((a + b) ** alpha <= a**alpha + b**alpha + 1e-12)
 
 
-def test_series_partial():
-    v0, r0 = bounds.series_partial(0.0, 0.5, 10)
-    assert v0 == 1.0 and r0 == 0.0
-    v, rem = bounds.series_partial(4.0, 0.5, 40)
-    v2, _ = bounds.series_partial(4.0, 0.5, 80)
-    # the estimate bounds the true tail and is small relative to the sum
-    assert v2 - v <= rem <= 1e-3 * v
-    _, rem80 = bounds.series_partial(4.0, 0.5, 80)
-    assert rem80 < 1e-10 * v
-    with pytest.raises(ValueError):
-        bounds.series_partial(-1.0, 0.5, 10)
-    with pytest.raises(ValueError):
-        bounds.series_partial(1.0, 1.5, 10)
-
-
 def test_series_bound_L():
     for beta in (0.25, 0.375, 0.5):
         L = bounds.series_bound_L(beta)

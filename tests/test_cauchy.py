@@ -149,6 +149,17 @@ def test_picard_builds_one_heat_base_per_slab(monkeypatch, spec8pi_small):
     assert calls == {"fft": 0, "ifft": 0, "rfft": thetas + slabs, "irfft": thetas + slabs}
 
 
+def test_picard_builds_the_grid_constants_once_per_slab(spec8pi_small):
+    # every Picard iteration on a slab runs the trapezoid on the same nodes
+    b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0)
+    phi = g.gaussian_shifted(spec8pi_small, 0.05, 0.3)
+    px._grid_constants.cache_clear()
+    rep = cy.picard_solve(phi, b, T=0.25, tol=1e-9).report
+    info = px._grid_constants.cache_info()
+    assert rep["segments"] == 1 and rep["iterations"][0] >= 3
+    assert (info.misses, info.hits) == (1, rep["iterations"][0] - 1)
+
+
 def _picard_reference(phi, b, plan, tol):
     # every segment from a freshly built heat base, no iterate carried over
     spec, data, iters = phi.spec, phi.values, []

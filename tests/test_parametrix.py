@@ -330,13 +330,15 @@ def _engine_case(name):
     else:
         spec = g.make_grid(1, 128, 8 * np.pi)
         b = drifts.make_preset("multi-mode", spec)
-        y = 0.3 if name == "one-source" else np.linspace(-10.0, 10.0, 40).reshape(-1, 1)
-    s, bs, _, psi_hat = px._first_family(b, 0.5, y, 32)
+        y = np.linspace(-10.0, 10.0, 40).reshape(-1, 1) if name == "batch-40" else 0.3
+    # 22 fine and 11 coarse intervals end in a partial chunk of the trapezoid
+    m = 22 if name == "ragged-22" else 32
+    s, bs, _, psi_hat = px._first_family(b, 0.5, y, m)
     v = g.irfft(b.spec, px._trapezoid(b.spec, psi_hat, s))
     return b.spec, s, bs, v, psi_hat
 
 
-_ENGINE_CASES = ["one-source", "batch-40", "single-mode-2d"]
+_ENGINE_CASES = ["one-source", "batch-40", "single-mode-2d", "ragged-22"]
 
 
 @pytest.mark.parametrize("case", _ENGINE_CASES)
@@ -353,6 +355,8 @@ def test_neg_div_hat_is_bit_identical_to_its_formula(case):
 @pytest.mark.parametrize("case", _ENGINE_CASES)
 def test_trapezoid_is_bit_identical_to_its_formula(case):
     spec, s, _, _, psi_hat = _engine_case(case)
+    if case == "ragged-22":
+        assert (len(s) - 1) % px._CHUNK and (len(s[::2]) - 1) % px._CHUNK
     kept = psi_hat.copy()
     assert np.array_equal(px._trapezoid(spec, psi_hat, s), _trapezoid_formula(spec, psi_hat, s))
     # the strided even-node view of the Richardson pass, as a stack and as its last node
@@ -364,6 +368,31 @@ def test_trapezoid_is_bit_identical_to_its_formula(case):
     assert px._richardson_mismatch(spec, psi_hat, s, fine) == (
         float(np.abs(expect - fine).max()), float(np.abs(fine).max()))
     assert np.array_equal(psi_hat, kept)
+
+
+def test_series_builds_the_grid_constants_once_per_node_grid(spec8pi_small, monkeypatch):
+    # K terms run 2K trapezoids on two node grids, fine and coarse: the heat
+    # factors and half steps are built once for each, -(i xi) once per grid
+    derivs = []
+
+    def deriv_multiplier(spec, mu, _orig=g.deriv_multiplier):
+        derivs.append(mu)
+        return _orig(spec, mu)
+
+    monkeypatch.setattr(g, "deriv_multiplier", deriv_multiplier)
+    px._grid_constants.cache_clear()
+    px._neg_i_xi.cache_clear()
+    b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0, xi0=1.0)
+    K = 4
+    assert px.gamma_series(b, 0.5, 0.3, K_max=K, tol=0.0, m=32).K_used == K
+    info = px._grid_constants.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * K - 2)
+    assert len(derivs) == spec8pi_small.d
+    s = px.time_nodes(0.5, 32)
+    for arr in px._grid_constants(spec8pi_small, s.tobytes()) + px._neg_i_xi(spec8pi_small):
+        assert arr.dtype == np.complex128 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_hot_path_transforms_take_their_input_uncast(spec8pi_small, monkeypatch):
