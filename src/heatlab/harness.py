@@ -339,9 +339,8 @@ def _cmd_grr(config):
     # psi(a b) <= sqrt(2) psi(a) psi(b) on a 20 x 20 table, psi in closed form
     rr = np.geomspace(1e-3, 1.0, 20)
     zz = rr[:, None] * rr[None, :]
-    psi_ab = np.sqrt(zz) * np.sqrt(np.maximum(np.log(1.0 / zz), 1.0))
-    psi_r = np.sqrt(rr) * np.sqrt(np.maximum(np.log(1 / rr), 1))
-    sub_max = (psi_ab / (np.sqrt(2) * psi_r[:, None] * psi_r[None, :])).max()
+    psi_r = montecarlo._psi(rr)
+    sub_max = (montecarlo._psi(zz) / (np.sqrt(2) * psi_r[:, None] * psi_r[None, :])).max()
     rows = [
         ("paths", n_keep), ("pairs_per_path", 50), ("violations", viol),
         ("max_ratio", max_ratio), ("F_max", F_max),

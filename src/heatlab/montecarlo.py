@@ -360,6 +360,12 @@ def reflection_escape_oracle(K: float, T: float) -> float:
 # -- path modulus machinery ----------------------------------------------------
 
 
+def _psi(r: np.ndarray) -> np.ndarray:
+    """The closed-form modulus psi(r) = sqrt(r) * sqrt(log(1/r) or 1,
+    whichever larger), elementwise for r > 0."""
+    return np.sqrt(r) * np.sqrt(np.maximum(np.log(1.0 / r), 1.0))
+
+
 def modulus_functions(r):
     """(zeta(r), psi(r)): the integral modulus and its closed-form equivalent.
 
@@ -382,7 +388,7 @@ def modulus_functions(r):
         return val
 
     zeta = np.array([zeta_one(rv) for rv in r_arr])
-    psi = np.sqrt(r_arr) * np.sqrt(np.maximum(np.log(1.0 / r_arr), 1.0))
+    psi = _psi(r_arr)
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(zeta[0]), float(psi[0])
     return zeta, psi
@@ -475,8 +481,7 @@ def pair_sup_ratio(path: np.ndarray, times: np.ndarray) -> float:
     """sup over s<t of |X_t - X_s| / psi(t - s) on the step grid."""
     _, disp, dt = _pair_tables(path, times)
     off = dt > 0
-    psi = np.sqrt(dt[off]) * np.sqrt(np.maximum(np.log(1.0 / dt[off]), 1.0))
-    return float((disp[off] / psi).max())
+    return float((disp[off] / _psi(dt[off])).max())
 
 
 def exp_sup_moment(e: Ensemble, M: float | None = None):

@@ -34,9 +34,10 @@ drift component.
 Every field of the engine is real, so it keeps half spectra, the bins
 [..., :n//2+1] of the last axis (`grid.rfft`, `grid.irfft`).  The drift
 products b_c v are real stacks.  The heat and derivative multipliers are the
-full ones restricted to the half spectrum (`_half`); this is exact, because
-|xi|^2 is even and `grid.deriv_multiplier` zeroes the odd-order Nyquist mode,
-so both map the spectrum of a real field to the spectrum of a real field.
+full ones restricted to the half spectrum (`_half`); the heat multipliers are
+built there directly (`_half_heat`).  This is exact, because |xi|^2 is even
+and `grid.deriv_multiplier` zeroes the odd-order Nyquist mode, so both map
+the spectrum of a real field to the spectrum of a real field.
 The trapezoid's heat factors and half steps are built once per node grid,
 and -i xi once per grid, in small caches of read-only arrays
 (`_grid_constants`, `_neg_i_xi`): every series term, Richardson pass and
@@ -54,13 +55,13 @@ order is that of the formulas, so the results are the same bits as with a
 fresh temporary per operation.
 
 Sources may be batched: `y` with shape (B, d) yields fields with a leading
-batch axis throughout.  A batch runs in blocks of 32 sources (`_SOURCE_BLOCK`)
-on a thread pool with one worker per CPU in the process's affinity mask,
-created per call; a single source or a single block runs inline.  Each block
-carries every per-source step, from the first family to the final transforms,
-while the stopping rule and the Richardson gap read maxima over the whole
-batch, so the result is bit-identical whatever the blocking and the worker
-count.
+batch axis throughout, and `gamma_series` runs the batch as one block whose
+stop test and Richardson gap read maxima over its sources.
+`transition_matrix` owns the blocking: it maps `gamma_series` over blocks of
+32 sources (`_SOURCE_BLOCK`) on a thread pool with one worker per CPU in the
+process's affinity mask, created per call, or inline with one worker.  Each
+block stops at its own K, so a matrix depends on the block size but not on
+the worker count.
 """
 
 from __future__ import annotations
@@ -85,11 +86,12 @@ __all__ = [
     "chapman_kolmogorov_residual",
 ]
 
-#: sources per block of a batched series; a block's stacks are
-#: (m+1, _SOURCE_BLOCK, *shape), so this bounds the memory in flight per
-#: worker (`verify-lower` on the c14 config, six 256-source matrices at
-#: n=256, m=96, peaked on 2 workers at 238-239 MiB with blocks of 32,
-#: 269-273 with 64 and 353-378 with 128; 243 in one block)
+#: sources per block of `transition_matrix`; a block's stacks are
+#: (m+1, _SOURCE_BLOCK, *shape) and each worker holds one block at a time, so
+#: this bounds the memory in flight per worker (`verify-lower` on the c14
+#: config, six 256-source matrices at n=256, m=96, peaked on 2 workers at
+#: 113-114 MiB with blocks of 16, 144-146 with 32, 206-207 with 64 and
+#: 327-328 with 128, 3 fresh processes each)
 _SOURCE_BLOCK = 32
 
 #: trapezoid nodes per chunk: a chunk's weighted slices dt_j/2 w_j are formed
@@ -112,6 +114,14 @@ def time_nodes(t: float, m: int) -> np.ndarray:
 def _half(spec: g.GridSpec, mult: np.ndarray) -> np.ndarray:
     """The half-spectrum bins [..., :n//2+1] of a full-grid multiplier."""
     return mult[..., : spec.n // 2 + 1]
+
+
+def _half_heat(spec: g.GridSpec, t) -> np.ndarray:
+    """The heat multiplier exp(-t|xi|^2/2) built on the half spectrum only, in
+    the expression order of `grid.heat_multiplier`, so it holds the same bits
+    as that one's half.  An array of times gives the stack of multipliers."""
+    t = np.asarray(t)
+    return np.exp(-t.reshape(t.shape + (1,) * spec.d) * _half(spec, g.freq_sq(spec)) / 2.0)
 
 
 @lru_cache(maxsize=8)
@@ -158,8 +168,7 @@ def _grid_constants(spec: g.GridSpec, key: bytes) -> tuple:
     multiply, so the products keep their bits) and read-only.
     """
     dts = np.diff(np.frombuffer(key))
-    H = np.exp(-dts.reshape((-1,) + (1,) * spec.d) * _half(spec, g.freq_sq(spec)) / 2.0)
-    out = (H.astype(complex), (dts / 2.0).astype(complex))
+    out = (_half_heat(spec, dts).astype(complex), (dts / 2.0).astype(complex))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -203,27 +212,23 @@ def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
 def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
     """P_s f at every node s from the half spectrum of f: one batched inverse
     transform."""
-    H = g.heat_multiplier(spec, times.reshape((-1,) + (1,) * (f_hat.ndim - spec.d)))
-    return g.irfft(spec, _half(spec, H) * f_hat)
+    H = _half_heat(spec, times.reshape((-1,) + (1,) * (f_hat.ndim - spec.d)))
+    return g.irfft(spec, H * f_hat)
 
 
-def _richardson_mismatch(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
-                         fine: np.ndarray) -> tuple:
-    """(max|coarse - fine|, max|fine|) at the last node, where `fine` is the
-    trapezoid on all nodes (physical) and coarse the trapezoid on the
-    even-index subgrid.  Both are maxima, so blocks of sources combine by max."""
+def _richardson_gap(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
+                    fine: np.ndarray) -> tuple:
+    """(gap, max|fine|) at the last node, where `fine` is the trapezoid on all
+    nodes (physical), coarse the trapezoid on the even-index subgrid and the
+    gap max|coarse - fine| / max|fine|; raises QuadratureDivergence above 1/2."""
     coarse = g.irfft(spec, _trapezoid(spec, w_hat[::2], times[::2], last=True))
-    return float(np.abs(coarse - fine).max()), float(np.abs(fine).max())
-
-
-def _richardson_gap(mismatch: float, scale: float) -> float:
-    """Relative coarse/fine gap; raises QuadratureDivergence above 1/2."""
+    mismatch, scale = float(np.abs(coarse - fine).max()), float(np.abs(fine).max())
     gap = mismatch / scale if scale > 0 else 0.0
     if gap > 0.5:
         raise QuadratureDivergence(
             f"coarse/fine Duhamel mismatch {gap:.2e}; time grid too coarse"
         )
-    return gap
+    return gap, scale
 
 
 def _check_horizon(b: DriftField, t: float):
@@ -266,33 +271,10 @@ class ParametrixResult:
     y: np.ndarray
     K_used: int
     gamma: g.GridField
-    term_fields: np.ndarray  # (K_used, *shape)
+    term_fields: np.ndarray  # (K_used, *shape), or (K_used, B, *shape) for a batch
     term_sup_norms: np.ndarray
     tail_estimate: float
     quad_gap: float
-
-
-def _block_terms(b: DriftField, t: float, y: np.ndarray, m: int):
-    """Series terms for one block of sources, one per resumption.
-
-    Yields (term, max|coarse - fine|, max|fine|) for each term; send True to
-    compute the next term, False to get the final gamma.
-    """
-    spec = b.spec
-    s, bs, dhat, psi_hat = _first_family(b, t, y, m)
-    gamma_hat = dhat * _half(spec, g.heat_multiplier(spec, t))
-    while True:
-        G_hat = _trapezoid(spec, psi_hat, s)
-        term = g.irfft(spec, G_hat[-1])
-        mismatch, scale = _richardson_mismatch(spec, psi_hat, s, term)
-        del psi_hat  # batched stacks are large: free each one once it is used
-        gamma_hat = gamma_hat + G_hat[-1]
-        if not (yield term, mismatch, scale):
-            break
-        G = g.irfft(spec, G_hat)
-        del G_hat
-        psi_hat = _neg_div_hat(spec, bs, G)
-    yield g.irfft(spec, gamma_hat)
 
 
 def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
@@ -303,49 +285,45 @@ def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
     sup of the Gaussian at time t, or K_max is reached.  Raises NoDecay when
     the last two term norms fail to decay at K_max.
 
-    A batch runs in blocks of sources on a thread pool (module docstring); the
-    stop test and the Richardson gap read maxima over all blocks, so the result
-    does not depend on the blocking or the worker count.
+    A batch y of shape (B, d) is one block: every stack carries all B sources,
+    and the stop test and the Richardson gap read maxima over the batch.
+    `transition_matrix` splits large batches into blocks of its own.
     """
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     spec = b.spec
     y = np.asarray(y, dtype=float)
-    blocks = ([y[i:i + _SOURCE_BLOCK] for i in range(0, len(y), _SOURCE_BLOCK)]
-              if y.ndim == 2 else [y])
-    gens = [_block_terms(b, t, yb, m) for yb in blocks]
-    workers = min(len(os.sched_getaffinity(0)), len(gens))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool is not None else map
-
-        def advance(go_on):
-            return list(run(lambda gen: gen.send(go_on), gens))
-
-        out = advance(None)
-        sup_p = float(g.gaussian(spec, t).values.max())
-        terms = []
-        sups = []
-        quad_gap = 0.0
-        for k in range(1, K_max + 1):
-            scale = max(o[2] for o in out)  # max|fine| is the term's sup
-            quad_gap = max(quad_gap, _richardson_gap(max(o[1] for o in out), scale))
-            terms.append(np.concatenate([o[0] for o in out]))
-            sups.append(scale)
-            if sups[-1] <= tol * sup_p or k == K_max:
-                break
-            out = advance(True)
-        sups_arr = np.asarray(sups)
-        ratio = sups_arr[-1] / sups_arr[-2] if len(sups_arr) >= 2 and sups_arr[-2] > 0 else 0.0
-        if sups_arr[-1] > tol * sup_p and ratio >= 1.0:
-            raise NoDecay(
-                f"term norms not decaying at K_max={K_max} (last ratio {ratio:.3f}); "
-                "t or the drift norms are too large for this truncation"
-            )
-        finals = advance(False)
+    s, bs, dhat, psi_hat = _first_family(b, t, y, m)
+    gamma_hat = dhat * _half_heat(spec, t)
+    sup_p = float(g.gaussian(spec, t).values.max())
+    terms = []
+    sups = []
+    quad_gap = 0.0
+    for k in range(1, K_max + 1):
+        G_hat = _trapezoid(spec, psi_hat, s)
+        term = g.irfft(spec, G_hat[-1])
+        gap, scale = _richardson_gap(spec, psi_hat, s, term)
+        del psi_hat  # batched stacks are large: free each one once it is used
+        quad_gap = max(quad_gap, gap)
+        gamma_hat = gamma_hat + G_hat[-1]
+        terms.append(term)
+        sups.append(scale)  # max|fine| is the term's sup
+        if sups[-1] <= tol * sup_p or k == K_max:
+            break
+        G = g.irfft(spec, G_hat)
+        del G_hat
+        psi_hat = _neg_div_hat(spec, bs, G)
+    sups_arr = np.asarray(sups)
+    ratio = sups_arr[-1] / sups_arr[-2] if len(sups_arr) >= 2 and sups_arr[-2] > 0 else 0.0
+    if sups_arr[-1] > tol * sup_p and ratio >= 1.0:
+        raise NoDecay(
+            f"term norms not decaying at K_max={K_max} (last ratio {ratio:.3f}); "
+            "t or the drift norms are too large for this truncation"
+        )
     tail = float(sups_arr[-1] * ratio / (1.0 - ratio)) if 0 < ratio < 1 else float(sups_arr[-1])
     if sups_arr[-1] <= tol * sup_p:
         tail = float(sups_arr[-1])
-    gamma_vals = np.concatenate(finals)
+    gamma_vals = g.irfft(spec, gamma_hat)
     # a batch returns the raw array; batch results are consumed internally
     gamma_field = gamma_vals if y.ndim == 2 else g.GridField(spec, gamma_vals)
     return ParametrixResult(
@@ -361,6 +339,12 @@ def transition_matrix(b: DriftField, t: float, sources: np.ndarray | None = None
 
     Default sources are all grid points (d=1 only; pass an explicit modest
     batch for d=2).  Returns (M, sources) with M of shape (B, *grid shape).
+
+    The sources go in blocks of `_SOURCE_BLOCK`, each its own `gamma_series`
+    with its own stop test and Richardson gap, on a thread pool with one worker
+    per CPU in the process's affinity mask; with one worker the blocks run
+    inline.  The rows do not depend on the worker count, and the first failing
+    block in source order raises its own error.
     """
     spec = b.spec
     if sources is None:
@@ -368,8 +352,15 @@ def transition_matrix(b: DriftField, t: float, sources: np.ndarray | None = None
             raise ValueError("all-grid-sources batching is d=1 only; pass sources")
         sources = spec.axis_points().reshape(-1, 1)
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
-    res = gamma_series(b, t, sources, K_max=K_max, tol=tol, m=m)
-    return res.gamma, sources
+    blocks = [sources[i:i + _SOURCE_BLOCK] for i in range(0, len(sources), _SOURCE_BLOCK)]
+
+    def block(ys):
+        return gamma_series(b, t, ys, K_max=K_max, tol=tol, m=m).gamma
+
+    workers = min(len(os.sched_getaffinity(0)), len(blocks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        gammas = list((pool.map if pool is not None else map)(block, blocks))
+    return np.concatenate(gammas), sources
 
 
 def chapman_kolmogorov_residual(b: DriftField, s: float, t: float, y,

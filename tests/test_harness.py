@@ -204,7 +204,7 @@ def test_cli_threads_caps_the_cpus_of_the_run(tmp_path, monkeypatch):
     def fake_run(subcommand, config, out_dir):
         seen.append({"cpus": os.sched_getaffinity(0), "pool": None, "mc_pool": None})
         b = drifts.single_mode_drift(config.spec(), amplitude=1.0)
-        px.gamma_series(b, 0.5, np.linspace(-5.0, 5.0, 64)[:, None], K_max=2, m=16)
+        px.transition_matrix(b, 0.5, np.linspace(-5.0, 5.0, 64)[:, None], K_max=2, m=16)
         montecarlo.simulate(b, 0.0, 0.01, 0.01, 2 * montecarlo._MIN_SLICE, seed=1)
         return 0, []
 

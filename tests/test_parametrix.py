@@ -1,6 +1,7 @@
 """Correction-series construction: families, series, composition."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_quadrature_divergence_detected(spec8pi_small):
     psi_hat = g.rfft(spec, np.stack([(-1.0) ** j * base for j in range(len(s))]))
     fine = g.irfft(spec, px._trapezoid(spec, psi_hat, s)[-1])
     with pytest.raises(QuadratureDivergence):
-        px._richardson_gap(*px._richardson_mismatch(spec, psi_hat, s, fine))
+        px._richardson_gap(spec, psi_hat, s, fine)
 
 
 def test_series_term_vs_family_propagation(spec8pi_small):
@@ -365,8 +366,9 @@ def test_trapezoid_is_bit_identical_to_its_formula(case):
     assert np.array_equal(px._trapezoid(spec, psi_hat[::2], s[::2], last=True), coarse[-1])
     fine = g.irfft(spec, _trapezoid_formula(spec, psi_hat, s)[-1])
     expect = g.irfft(spec, coarse[-1])
-    assert px._richardson_mismatch(spec, psi_hat, s, fine) == (
-        float(np.abs(expect - fine).max()), float(np.abs(fine).max()))
+    scale = float(np.abs(fine).max())
+    assert px._richardson_gap(spec, psi_hat, s, fine) == (
+        float(np.abs(expect - fine).max()) / scale, scale)
     assert np.array_equal(psi_hat, kept)
 
 
@@ -447,11 +449,12 @@ def _series_one_block(b, t, y, K_max=12, tol=1e-6, m=64):
             "tail_estimate": tail + quad_gap * max(max(sups), 1e-300)}
 
 
-def _blocked(b, t, y, **kw):
-    # the library call; no pool thread may outlive it
+def _blocked(monkeypatch, cpus, b, t, y, **kw):
+    # the library call on `cpus` CPUs; no pool thread may outlive it
+    monkeypatch.setattr(px.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     before = threading.active_count()
     try:
-        return px.gamma_series(b, t, y, **kw)
+        return px.transition_matrix(b, t, y, **kw)[0]
     finally:
         assert threading.active_count() == before
 
@@ -464,17 +467,20 @@ def _assert_bytes_equal(res, ref):
     assert res.tail_estimate == ref["tail_estimate"]
 
 
+def _blocks(ys):
+    return [slice(i, i + px._SOURCE_BLOCK) for i in range(0, len(ys), px._SOURCE_BLOCK)]
+
+
 def _sources_70(spec):
     # three blocks, the last one partial
     return np.linspace(-spec.L / 2, spec.L / 2, 70, endpoint=False)[:, None] + 0.05
 
 
-def _bump_drift(spec):
-    # strong drift near x = -8 only: the block of sources there alone sets the
-    # stop and the gap scale; the other blocks alone would stop at K = 3 and
-    # read a larger relative gap
+def _bump_drift(spec, amplitude=1.0):
+    # strong drift near x = -8 only: the block of sources there needs more
+    # terms than the blocks away from it
     x = spec.axis_points()
-    vals = 0.02 * np.cos(6 * x) + np.exp(-(x + 8.0) ** 2)
+    vals = 0.02 * np.cos(6 * x) + amplitude * np.exp(-(x + 8.0) ** 2)
     return DriftField(spec, [0.0], vals[None, None, :], tag="bump")
 
 
@@ -486,44 +492,62 @@ def _bump_drift(spec):
     (lambda s: _swapped_single_mode_2d(),
      lambda s: np.random.default_rng(5).uniform(-8.0, 8.0, size=(40, 2))),
 ], ids=["constant", "single-mode", "multi-mode", "traveling-mode", "single-mode-2d"])
-def test_blocked_batch_equals_one_block(spec8pi_small, make_drift, make_sources):
+def test_blocked_batch_equals_one_block(spec8pi_small, monkeypatch, make_drift, make_sources):
+    # each block's rows are the series of that block alone, whatever the CPUs
     b = make_drift(spec8pi_small)
     ys = make_sources(spec8pi_small)
-    _assert_bytes_equal(_blocked(b, 0.5, ys, m=64), _series_one_block(b, 0.5, ys))
+    alone = []
+    for rows in _blocks(ys):
+        res = px.gamma_series(b, 0.5, ys[rows], m=64)
+        _assert_bytes_equal(res, _series_one_block(b, 0.5, ys[rows]))
+        alone.append((rows, res.gamma))
+    for cpus in (1, 2, 8):
+        M = _blocked(monkeypatch, cpus, b, 0.5, ys, m=64)
+        assert M.shape == (len(ys),) + b.spec.shape
+        for rows, gamma in alone:
+            assert M[rows].tobytes() == gamma.tobytes(), (cpus, rows)
 
 
-def test_one_block_sets_the_global_stop_and_gap(spec8pi_small):
+def test_each_block_stops_at_its_own_term(spec8pi_small, monkeypatch):
     b = _bump_drift(spec8pi_small)
     ys = np.concatenate([np.linspace(-9.5, -6.5, 32), np.linspace(-2.0, 11.0, 38)])[:, None]
-    res = _blocked(b, 0.5, ys, m=64)
-    _assert_bytes_equal(res, _series_one_block(b, 0.5, ys))
-    loud = _blocked(b, 0.5, ys[:32], m=64)
-    assert (loud.K_used, loud.quad_gap) == (res.K_used, res.quad_gap)
-    for quiet in (ys[32:64], ys[64:]):
-        alone = _blocked(b, 0.5, quiet, m=64)
-        assert alone.K_used < res.K_used
-        assert alone.quad_gap > res.quad_gap
+    loud, *quiet = [px.gamma_series(b, 0.5, ys[rows], m=64) for rows in _blocks(ys)]
+    assert len(quiet) == 2
+    assert all(q.K_used < loud.K_used for q in quiet)
+    for cpus in (1, 2, 8):
+        M = _blocked(monkeypatch, cpus, b, 0.5, ys, m=64)
+        for rows, res in zip(_blocks(ys), [loud] + quiet):
+            assert M[rows].tobytes() == res.gamma.tobytes(), (cpus, rows)
 
 
 def test_blocked_errors_propagate_unchanged(spec8pi_small, monkeypatch):
+    # the first failing block in source order raises, with its own message;
+    # under the strong bump at m=8 the quiet block fails its Richardson check
+    # and the loud block fails to decay, so the order picks the error type
     spec = spec8pi_small
     ys = _sources_70(spec)
-    cases = [(QuadratureDivergence, drifts.single_mode_drift(spec, amplitude=1.0), 0.5,
+    bump = _bump_drift(spec, 4.0)
+    quiet = np.linspace(-2.0, 11.0, 32)[:, None]
+    loud = np.linspace(-9.5, -6.5, 32)[:, None]
+    cases = [(QuadratureDivergence, drifts.single_mode_drift(spec, amplitude=1.0), 0.5, ys,
               {"m": 2}),
-             (NoDecay, drifts.constant_drift(spec, 30.0), 1.0, {"K_max": 4}),
-             (ValueError, drifts.make_preset("time-varying", spec, horizon=0.5), 0.75, {})]
-    for error, b, t, kw in cases:
-        with pytest.raises(error) as blocked:
-            _blocked(b, t, ys, **kw)
-        with monkeypatch.context() as mp:
-            mp.setattr(px, "_SOURCE_BLOCK", len(ys))
-            with pytest.raises(error) as one_block:
-                _blocked(b, t, ys, **kw)
-        assert type(blocked.value) is error
-        assert str(blocked.value) == str(one_block.value)
+             (NoDecay, drifts.constant_drift(spec, 30.0), 1.0, ys, {"K_max": 4}),
+             (ValueError, drifts.make_preset("time-varying", spec, horizon=0.5), 0.75, ys, {}),
+             (QuadratureDivergence, bump, 0.5, np.concatenate([quiet, loud]), {"m": 8}),
+             (NoDecay, bump, 0.5, np.concatenate([loud, quiet]), {"m": 8})]
+    for error, b, t, ys, kw in cases:
+        with pytest.raises(error) as first:
+            px.gamma_series(b, t, ys[:px._SOURCE_BLOCK], **kw)
+        for cpus in (1, 2, 8):
+            with pytest.raises(error) as blocked:
+                _blocked(monkeypatch, cpus, b, t, ys, **kw)
+            assert type(blocked.value) is error
+            assert str(blocked.value) == str(first.value)
 
 
 def test_pool_size_follows_cpu_affinity(spec8pi_small, monkeypatch):
+    # transition_matrix starts one worker per CPU, at most one per block;
+    # gamma_series starts no pool for any batch
     pools = []
 
     class Recording(px.ThreadPoolExecutor):
@@ -535,8 +559,31 @@ def test_pool_size_follows_cpu_affinity(spec8pi_small, monkeypatch):
     b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0, xi0=1.0)
     ys = _sources_70(spec8pi_small)
     for cpus in (1, 2, 8):
-        monkeypatch.setattr(px.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
-        _blocked(b, 0.5, ys, K_max=2, m=16)
-        _blocked(b, 0.5, ys[:32], K_max=2, m=16)
-        _blocked(b, 0.5, 0.3, K_max=2, m=16)
-    assert pools == [2, 3]  # one worker per CPU, at most one per block
+        _blocked(monkeypatch, cpus, b, 0.5, ys, K_max=2, m=16)
+        _blocked(monkeypatch, cpus, b, 0.5, ys[:32], K_max=2, m=16)
+        px.gamma_series(b, 0.5, ys, K_max=2, m=16)
+        px.gamma_series(b, 0.5, 0.3, K_max=2, m=16)
+    assert pools == [2, 3]
+
+
+def test_blocks_are_not_all_held_at_once(monkeypatch):
+    # one block's stacks at a time on one CPU: four blocks peak no higher than
+    # one (with every block's stacks alive at once the ratio is 2.8)
+    spec = g.make_grid(1, 128, 8 * np.pi)
+    b = drifts.make_preset("multi-mode", spec)
+    ys = _sources_70(spec)[:32]
+    ys = np.concatenate([ys, ys + 0.1, ys + 0.2, ys + 0.3])
+    monkeypatch.setattr(px.os, "sched_getaffinity", lambda pid: {0})
+
+    def peak(call):
+        call()  # warm the node-grid caches
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: px.gamma_series(b, 0.5, ys[:32], m=64))
+    four = peak(lambda: px.transition_matrix(b, 0.5, ys, m=64))
+    assert four <= 1.2 * one
