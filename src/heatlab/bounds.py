@@ -23,8 +23,8 @@ from scipy.special import gammaln, logsumexp
 from . import grid as g
 from .dyadic import DriftField, drift_norms
 from .errors import EnvelopeViolated
-from .parametrix import (_first_family, _half, _half_heat, _neg_div_hat,
-                         _richardson_gap, _trapezoid, transition_matrix)
+from .parametrix import (_first_family, _neg_div_hat, _richardson_gap, _trapezoid,
+                         transition_matrix)
 
 __all__ = [
     "beta_fn",
@@ -152,22 +152,14 @@ def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
     multi-indices of order `order` of the masked sup of |derivative field| /
     envelope.
 
-    The multipliers (i xi)^mu are built from the frequencies of the half
-    spectrum, the full-grid ones' first n//2+1 bins on the last axis.  The
-    inverse transform reads the Nyquist bin as real, so an odd-order
-    derivative drops that mode, as the real part of a full inverse transform
-    would.
+    The multipliers (i xi)^mu are `grid.deriv_multiplier`'s, one per ordered
+    tuple of axes.
     """
-    comps = [_half(spec, c) for c in g.freq_components(spec)]
-    if order == 0:
-        muls = [np.ones(comps[0].shape)]
-    elif order == 1:
-        muls = [1j * c for c in comps]
-    else:
-        muls = [(1j * a) * (1j * b) for a in comps for b in comps]
+    eye = list(np.eye(spec.d, dtype=int))
+    mus = {0: [0 * eye[0]], 1: eye, 2: [a + b for a in eye for b in eye]}[order]
     total = 0.0
-    for mlt in muls:
-        vals = g.irfft(spec, mlt * fields_hat)
+    for mu in mus:
+        vals = g.irfft(spec, g.deriv_multiplier(spec, mu) * fields_hat)
         total = total + (np.abs(vals)[:, mask] / pc_vals[mask]).max(axis=1)
     return total
 
@@ -208,7 +200,7 @@ def _ratio_stacks(b: DriftField, t: float, k_max: int, y_points, pc: g.GridField
             s, psi_hat = next(walk)
             pc_y = np.roll(pc.values, int(round(y / spec.h)))
             mask = pc_y > I_RATIO_FLOOR * pc_y.max()
-            u_hat = _half_heat(spec, t - s) * psi_hat
+            u_hat = g.heat_multiplier(spec, t - s) * psi_hat
             stacks.append((s, [_sup_ratio_norms(spec, u_hat, pc_y, mask, order)
                                for order in (0, 1, 2)]))
         yield stacks

@@ -10,10 +10,11 @@ Besov norms weight block i>=0 by 2^{is}; the low block carries weight 1 so the
 scale is monotone in s (the standard 2^{-s} low-block weight is equivalent up
 to constants but not monotone).  Blocks, Besov norms, drift norms and
 mollification all take the partition from `build_partition`'s per-spec cache.
+The partition is radial, hence even, so it lives on the half spectrum of
+`grid.rfft` like every other multiplier of real fields.
 One Besov sum serves every caller: it takes a stack of fields, keeps the
 leading axes and gives each entry the bits of that field's norm alone, so
-`besov_norm_values`, the drift norms and the blow-up norms of `cauchy` are
-the same arithmetic.
+`besov_norm_values` and the drift norms are the same arithmetic.
 
 A `DriftField` holds its samples read-only, so its controlling norms belong to
 the instance: `drift_norms` computes them on first use and stores them there.
@@ -83,7 +84,7 @@ class BesovIndex:
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Sampled dyadic cutoffs rho_i on the frequency grid, i in {-1..j_max}."""
+    """Sampled dyadic cutoffs rho_i on the half spectrum, i in {-1..j_max}."""
 
     spec: g.GridSpec
     j_max: int
@@ -123,7 +124,7 @@ def build_partition(spec: g.GridSpec) -> DyadicPartition:
 
 def block_values(spec: g.GridSpec, values: np.ndarray, i) -> np.ndarray:
     """Littlewood-Paley block of a raw value array (supports leading axes)."""
-    return g.ifft(spec, build_partition(spec).multiplier(i) * g.fft(spec, values))
+    return g.irfft(spec, build_partition(spec).multiplier(i) * g.rfft(spec, values))
 
 
 def block(f: g.GridField, i) -> g.GridField:
@@ -147,10 +148,10 @@ def _besov_stack(spec: g.GridSpec, values: np.ndarray, idx: BesovIndex) -> np.nd
     kept: l^q over blocks of 2^{is} ||Delta_i f||_{L^p} (h^d-weighted)."""
     part = build_partition(spec)
     space = tuple(range(-spec.d, 0))
-    fhat = g.fft(spec, values)
+    fhat = g.rfft(spec, values)
     per_block = []
     for i in part.indices:
-        a = np.abs(g.ifft(spec, part.multiplier(i) * fhat))
+        a = np.abs(g.irfft(spec, part.multiplier(i) * fhat))
         lp = (a.max(axis=space) if idx.p == np.inf
               else _root(spec.cell * (a**idx.p).sum(axis=space), idx.p))
         per_block.append(_weight(i, idx.s) * lp)
@@ -234,7 +235,9 @@ class DriftField:
         return self.values[self.time_index(t)]
 
     def shift(self, s: float) -> "DriftField":
-        """Drift b'_r = b_{r+s} (time shift, for two-time kernels)."""
+        """Drift b'_r = b_{r+s} (time shift, for two-time kernels), s >= 0."""
+        if s < 0:
+            raise ValueError(f"shift must be nonnegative, got {s}")
         keep = self.times >= s - 1e-12
         if not keep.any():
             if len(self.times) > 1:
@@ -286,7 +289,7 @@ def mollify_drift(b: DriftField, n: int) -> DriftField:
         raise ValueError(f"mollification level must be >= 1, got {n}")
     part = build_partition(b.spec)
     mult = sum(part.multiplier(i) for i in range(1, min(n, part.j_max) + 1))
-    out = g.ifft(b.spec, mult * g.fft(b.spec, b.values))
+    out = g.irfft(b.spec, mult * g.rfft(b.spec, b.values))
     return DriftField(b.spec, b.times.copy(), out, b.alpha, tag=f"{b.tag}^({n})")
 
 

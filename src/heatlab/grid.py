@@ -91,19 +91,24 @@ def make_grid(d: int, n: int, L: float) -> GridSpec:
 
 @lru_cache(maxsize=64)
 def _freq_grids(spec: GridSpec) -> tuple:
-    """Per-axis frequency arrays broadcast to the full grid, plus |xi|^2."""
-    comps = tuple(np.meshgrid(*(spec.axis_freqs(),) * spec.d, indexing="ij"))
+    """Per-axis frequency arrays broadcast to the half spectrum, plus |xi|^2.
+
+    The leading axes carry all n frequencies, the last axis its first n//2+1
+    (`rfft`'s bins, Nyquist at -n/2 as in `axis_freqs`).
+    """
+    axes = (spec.axis_freqs(),) * (spec.d - 1) + (spec.axis_freqs()[: spec.n // 2 + 1],)
+    comps = tuple(np.meshgrid(*axes, indexing="ij"))
     sq = sum(c**2 for c in comps)
     return comps, sq
 
 
 def freq_components(spec: GridSpec) -> tuple:
-    """Frequency component arrays xi_1, ..., xi_d on the full grid."""
+    """Frequency component arrays xi_1, ..., xi_d on the half spectrum."""
     return _freq_grids(spec)[0]
 
 
 def freq_sq(spec: GridSpec) -> np.ndarray:
-    """|xi|^2 on the full grid (FFT order)."""
+    """|xi|^2 on the half spectrum."""
     return _freq_grids(spec)[1]
 
 
@@ -111,18 +116,17 @@ def freq_sq(spec: GridSpec) -> np.ndarray:
 #
 # Spectra are continuum-normalized: fhat = h^d * FFT(f), so that periodic
 # convolution is plain multiplication of spectra and the DC mode equals the
-# integral of the field.  Physical fields are recovered with ifft / h^d.
+# integral of the field.  Every field here is real, so the library keeps half
+# spectra (`rfft`, `irfft`), and every multiplier below is built on them.
 
 
 def fft(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """Continuum-normalized spectrum h^d * FFT(values) over the last d axes.
 
-    Leading axes are a stack of fields.  Complex input is transformed without
-    a cast; real input is cast by numpy inside the transform, which costs
-    about as much as the transform itself.  The series and fixed-point engine
-    therefore keeps its real fields on half spectra (`rfft`, `irfft`); the
-    full spectrum serves the dyadic blocks, the KDE and the Gaussians.
-    The result is a fresh array, scaled in place; `values` is never written.
+    Leading axes are a stack of fields.  With `ifft` this is the
+    full-spectrum reference pair: the library transforms its real fields with
+    `rfft` and `irfft`, and checks compare against this pair.  The result is
+    a fresh array, scaled in place; `values` is never written.
     """
     out = np.fft.fftn(values, axes=tuple(range(-spec.d, 0)))
     out *= spec.cell
@@ -166,24 +170,31 @@ def irfft(spec: GridSpec, fhat: np.ndarray) -> np.ndarray:
 def heat_multiplier(spec: GridSpec, t) -> np.ndarray:
     """Spectral multiplier exp(-t|xi|^2/2) of the heat semigroup.
 
-    An array of times gives the stack of multipliers, shape t.shape + grid
-    shape, from one exponential.
+    An array of times gives the stack of multipliers, shape t.shape + half
+    spectrum shape, from one exponential.
     """
     t = np.asarray(t)
     return np.exp(-t.reshape(t.shape + (1,) * spec.d) * freq_sq(spec) / 2.0)
 
 
 def delta_hat(spec: GridSpec, center) -> np.ndarray:
-    """Spectrum of the (periodized) unit-mass point source at `center`.
+    """Half spectrum of the real (periodized) unit-mass point field at `center`.
 
     `center` may be any point in the box, not necessarily on the grid; a
-    scalar stands for the point with that coordinate on every axis.
+    scalar stands for the point with that coordinate on every axis, and a
+    (B, d) batch of centres gives a leading batch axis.  A Nyquist bin
+    aliases the phases of xi and of xi' (xi with its Nyquist components
+    negated); the real field holds their mean, which off the grid is not a
+    per-axis product at the corner bins of d=2.
     """
     comps = freq_components(spec)
-    center = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (spec.d,))
-    x0 = -spec.L / 2
-    phase = sum(c * (center[i] - x0) for i, c in enumerate(comps))
-    return np.exp(-1j * phase)
+    a = np.atleast_1d(np.asarray(center, dtype=float))
+    a = np.broadcast_to(a, a.shape[:-1] + (spec.d,)) + spec.L / 2
+    shifts = [a[..., i].reshape(a.shape[:-1] + (1,) * spec.d) for i in range(spec.d)]
+    nyq = np.abs(spec.axis_freqs()).max()
+    phase = sum(c * s for c, s in zip(comps, shifts))
+    mirror = sum(np.where(np.abs(c) == nyq, -c, c) * s for c, s in zip(comps, shifts))
+    return 0.5 * (np.exp(-1j * phase) + np.exp(-1j * mirror))
 
 
 @dataclass
@@ -242,20 +253,22 @@ def gaussian(spec: GridSpec, t: float) -> GridField:
 
     Mass h^d*sum = 1 exactly (DC mode is 1); even symmetry on the grid.
     """
-    vals = ifft(spec, _heat_hat(spec, t, 0.0))
+    vals = irfft(spec, _heat_hat(spec, t, 0.0))
     return GridField(spec, _symmetrize(spec, vals, +1))
 
 
 def gaussian_shifted(spec: GridSpec, t: float, center) -> GridField:
     """Periodized p(t, . - center); center may be off-grid (spectral shift)."""
-    return GridField(spec, ifft(spec, _heat_hat(spec, t, center)))
+    return GridField(spec, irfft(spec, _heat_hat(spec, t, center)))
 
 
 def deriv_multiplier(spec: GridSpec, mu) -> np.ndarray:
-    """Spectral multiplier (i*xi)^mu for a multi-index mu, |mu| <= 2.
+    """Spectral multiplier (i*xi)^mu on the half spectrum for a multi-index
+    mu, |mu| <= 2.
 
     The Nyquist mode is zeroed for odd-order components so that odd
-    derivatives of real even fields stay exactly odd on the grid.
+    derivatives of real fields stay real and those of even fields exactly
+    odd on the grid.
     """
     mu = tuple(int(m) for m in np.atleast_1d(mu))
     if len(mu) != spec.d:
@@ -263,7 +276,7 @@ def deriv_multiplier(spec: GridSpec, mu) -> np.ndarray:
     if sum(mu) > 2 or any(m < 0 for m in mu):
         raise ValueError(f"|mu| must be <= 2 with nonnegative entries, got {mu}")
     comps = freq_components(spec)
-    out = np.ones(spec.shape, dtype=complex)
+    out = np.ones(comps[0].shape, dtype=complex)
     ax = spec.axis_freqs()
     nyq = np.abs(ax).max()
     for i, m in enumerate(mu):
@@ -279,7 +292,7 @@ def deriv_multiplier(spec: GridSpec, mu) -> np.ndarray:
 def gaussian_deriv(spec: GridSpec, t: float, mu) -> GridField:
     """Spatial derivative d^mu p(t, .) of the periodized Gaussian, |mu| <= 2."""
     fhat = _heat_hat(spec, t, 0.0)
-    vals = ifft(spec, deriv_multiplier(spec, mu) * fhat)
+    vals = irfft(spec, deriv_multiplier(spec, mu) * fhat)
     parity = 1 if sum(int(v) for v in np.atleast_1d(mu)) % 2 == 0 else -1
     return GridField(spec, _symmetrize(spec, vals, parity))
 
@@ -290,7 +303,7 @@ def semigroup_apply(f: GridField, t: float) -> GridField:
         raise ValueError(f"t must be nonnegative, got {t}")
     if t == 0:
         return f.copy()
-    return GridField(f.spec, ifft(f.spec, heat_multiplier(f.spec, t) * fft(f.spec, f.values)))
+    return GridField(f.spec, irfft(f.spec, heat_multiplier(f.spec, t) * rfft(f.spec, f.values)))
 
 
 def convolve(f: GridField, g: GridField) -> GridField:
@@ -302,7 +315,7 @@ def convolve(f: GridField, g: GridField) -> GridField:
     if f.spec != g.spec:
         raise SpecMismatch("convolve: operands on different grids")
     phase = delta_hat(f.spec, np.zeros(f.spec.d))
-    vals = ifft(f.spec, fft(f.spec, f.values) * fft(g.spec, g.values) * phase)
+    vals = irfft(f.spec, rfft(f.spec, f.values) * rfft(g.spec, g.values) * phase)
     return GridField(f.spec, vals)
 
 

@@ -411,11 +411,11 @@ def run(subcommand: str, config: ExperimentConfig, out_dir) -> tuple:
     Nonzero exit on any invariant violation or upstream error, with the
     violated invariant named in the report.
     """
+    if subcommand not in SUBCOMMANDS:
+        raise KeyError(f"unknown subcommand {subcommand!r}; have {SUBCOMMANDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(_RECIPES) if subcommand == "all" else [subcommand]
-    if subcommand not in SUBCOMMANDS:
-        raise KeyError(f"unknown subcommand {subcommand!r}; have {SUBCOMMANDS}")
     status = 0
     paths = []
     for name in names:

@@ -78,7 +78,11 @@ def counter_normals(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _spectral_upsample(spec: g.GridSpec, vals: np.ndarray, up: int) -> np.ndarray:
-    """Zero-padded Fourier refinement of one component field (d in {1,2})."""
+    """Zero-padded Fourier refinement of one component field (d in {1,2}).
+
+    It keeps its own full-spectrum route on purpose: its bits feed every
+    ensemble, and the ensembles are pinned bit for bit.
+    """
     F = np.fft.fftshift(np.fft.fftn(vals))
     pad = (up - 1) * spec.n // 2
     Fp = np.pad(F, [(pad, pad)] * spec.d)
@@ -225,8 +229,8 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     that `T` itself must meet; positions are recorded at the end of a step.
     """
     spec = b_smooth.spec
-    if h_t > 1e-2 + 1e-15:
-        raise ValueError(f"h_t must be <= 1e-2, got {h_t}")
+    if not 0 < h_t <= 1e-2 + 1e-15:
+        raise ValueError(f"h_t must be in (0, 1e-2], got {h_t}")
     sup_b = float(np.abs(b_smooth.values).max())
     if h_t * sup_b > 0.5:
         raise StepTooLarge(f"h_t * sup|b| = {h_t * sup_b:.3g} > 0.5")
@@ -323,7 +327,7 @@ def density_at(e: Ensemble, t: float, bandwidth: float | None = None) -> g.GridF
         cells = np.ravel_multi_index(tuple((i0 + corner).T), spec.shape, mode="wrap")
         counts += np.bincount(cells, weights=wts, minlength=spec.size)
     hist = counts.reshape(spec.shape) * w
-    smooth = g.ifft(spec, g.heat_multiplier(spec, bandwidth**2) * g.fft(spec, hist))
+    smooth = g.irfft(spec, g.heat_multiplier(spec, bandwidth**2) * g.rfft(spec, hist))
     return g.GridField(spec, smooth)
 
 

@@ -31,21 +31,12 @@ exponential-trapezoid recurrence `_trapezoid` on spectra and the heat stack
 batched inverse transform of the G_k stack and one forward transform per
 drift component.
 
-Every field of the engine is real, so it keeps half spectra, the bins
-[..., :n//2+1] of the last axis (`grid.rfft`, `grid.irfft`).  The drift
-products b_c v are real stacks.  The heat and derivative multipliers are the
-full ones restricted to the half spectrum (`_half`); the heat multipliers are
-built there directly (`_half_heat`).  This is exact, because |xi|^2 is even
-and `grid.deriv_multiplier` zeroes the odd-order Nyquist mode, so both map
-the spectrum of a real field to the spectrum of a real field.
+Every field of the engine is real, so it works on the half spectra of
+`grid`, whose multipliers and point source are all built there.
 The trapezoid's heat factors and half steps are built once per node grid,
 and -i xi once per grid, in small caches of read-only arrays
 (`_grid_constants`, `_neg_i_xi`): every series term, Richardson pass and
 Picard iterate on the same nodes reuses them.
-The source spectrum must not be sliced: `grid.delta_hat` of an off-grid
-source is not Hermitian on its Nyquist rows, and in d=2 its slice is not the
-half spectrum of any real field.  The engine takes the half spectrum of the
-real field that the full spectrum stands for, rfft(ifft(delta_hat)).
 
 The engine writes into preallocated stacks and updates them in place: one
 real product buffer serves every drift component, and the trapezoid fills
@@ -111,25 +102,11 @@ def time_nodes(t: float, m: int) -> np.ndarray:
 # -- the spectral Duhamel engine ----------------------------------------------
 
 
-def _half(spec: g.GridSpec, mult: np.ndarray) -> np.ndarray:
-    """The half-spectrum bins [..., :n//2+1] of a full-grid multiplier."""
-    return mult[..., : spec.n // 2 + 1]
-
-
-def _half_heat(spec: g.GridSpec, t) -> np.ndarray:
-    """The heat multiplier exp(-t|xi|^2/2) built on the half spectrum only, in
-    the expression order of `grid.heat_multiplier`, so it holds the same bits
-    as that one's half.  An array of times gives the stack of multipliers."""
-    t = np.asarray(t)
-    return np.exp(-t.reshape(t.shape + (1,) * spec.d) * _half(spec, g.freq_sq(spec)) / 2.0)
-
-
 @lru_cache(maxsize=8)
 def _neg_i_xi(spec: g.GridSpec) -> tuple:
     """-(i xi_c) on the half spectrum, one read-only array per component,
     with the Nyquist mode zeroed (`grid.deriv_multiplier`)."""
-    out = tuple(-_half(spec, g.deriv_multiplier(spec, mu))
-                for mu in np.eye(spec.d, dtype=int))
+    out = tuple(-g.deriv_multiplier(spec, mu) for mu in np.eye(spec.d, dtype=int))
     for mult in out:
         mult.flags.writeable = False
     return out
@@ -168,7 +145,7 @@ def _grid_constants(spec: g.GridSpec, key: bytes) -> tuple:
     multiply, so the products keep their bits) and read-only.
     """
     dts = np.diff(np.frombuffer(key))
-    out = (_half_heat(spec, dts).astype(complex), (dts / 2.0).astype(complex))
+    out = (g.heat_multiplier(spec, dts).astype(complex), (dts / 2.0).astype(complex))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -212,7 +189,7 @@ def _trapezoid(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
 def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.ndarray:
     """P_s f at every node s from the half spectrum of f: one batched inverse
     transform."""
-    H = _half_heat(spec, times.reshape((-1,) + (1,) * (f_hat.ndim - spec.d)))
+    H = g.heat_multiplier(spec, times.reshape((-1,) + (1,) * (f_hat.ndim - spec.d)))
     return g.irfft(spec, H * f_hat)
 
 
@@ -243,17 +220,11 @@ def _first_family(b: DriftField, t: float, y, m: int):
     """Node grid, source half spectra and Psi^{y,1} half spectra for horizon t.
 
     Returns (s_nodes, drift slices, delta spectra, Psi^1 spectra); the spectra
-    carry a batch axis when y has shape (B, d).  The source half spectrum is
-    that of the real field the full `grid.delta_hat` stands for (module
-    docstring).
+    carry a batch axis when y has shape (B, d).
     """
     _check_horizon(b, t)
     spec = b.spec
-    y = np.asarray(y, dtype=float)
-    dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
-    if y.ndim != 2:
-        dhat = dhat[0]
-    dhat = g.rfft(spec, g.ifft(spec, dhat))
+    dhat = g.delta_hat(spec, y)
     s = time_nodes(t, m)
     bs = b.at_time(s)
     return s, bs, dhat, _neg_div_hat(spec, bs, _heat_stack(spec, dhat, s))
@@ -294,7 +265,7 @@ def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
     spec = b.spec
     y = np.asarray(y, dtype=float)
     s, bs, dhat, psi_hat = _first_family(b, t, y, m)
-    gamma_hat = dhat * _half_heat(spec, t)
+    gamma_hat = dhat * g.heat_multiplier(spec, t)
     sup_p = float(g.gaussian(spec, t).values.max())
     terms = []
     sups = []

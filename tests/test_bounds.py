@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import full_spectrum as fs
 from heatlab import bounds, drifts, dyadic as dy, grid as g, parametrix as px
 from heatlab.errors import EnvelopeViolated
 
@@ -246,7 +247,7 @@ def _old_i_empirical(b, t, k, i, beta_sel, y_points, m, c=2.0):
     families come straight from the engine pieces."""
     spec = b.spec
     half = spec.n // 2 + 1  # the engine's half spectra
-    xi = g.freq_components(spec)[0][:half]
+    xi = fs.freqs(spec)[0][:half]
     muls = {0: [np.ones(half)], 1: [1j * xi], 2: [(1j * xi) * (1j * xi)]}
     pc = g.gaussian(spec, c * t)
     best = 0.0
@@ -258,7 +259,7 @@ def _old_i_empirical(b, t, k, i, beta_sel, y_points, m, c=2.0):
         mask = pc_y > bounds.I_RATIO_FLOOR * pc_y.max()
         integrand = np.empty(len(s))
         for j, sj in enumerate(s):
-            u_hat = g.heat_multiplier(spec, t - sj)[:half] * psi_hat[j]
+            u_hat = fs.heat(spec, t - sj)[:half] * psi_hat[j]
             A = []
             for order in (i, i + 1):
                 total = 0.0

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import full_spectrum as fs
 from heatlab import cauchy as cy, drifts, dyadic as dy, grid as g, parametrix as px
 from heatlab.errors import NoConvergence, WraparoundRisk
 
 
 def _heat_time_field(spec, phi, times):
     phihat = g.fft(spec, phi.values)
-    base = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
+    base = np.stack([g.ifft(spec, fs.heat(spec, s) * phihat) for s in times])
     return cy.TimeField(spec, times, base)
 
 
@@ -31,7 +32,7 @@ def test_theta_one_step_matches_first_series_term(spec8pi_small):
     b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
     t = 0.5
     partial1 = px.gamma_series(b, t, 0.0, K_max=1).gamma.values
-    phi = g.GridField(spec, g.ifft(spec, g.delta_hat(spec, 0.0)))
+    phi = g.GridField(spec, g.ifft(spec, fs.delta(spec, 0.0)))
     v0 = _heat_time_field(spec, phi, px.time_nodes(t, 128))
     v1 = cy.theta_apply(v0, b, v0)
     assert np.abs(v1.values[-1] - partial1).max() < 1e-10
@@ -60,9 +61,9 @@ def _theta_per_node(phi, b, v, offset):
     # -div(b v) back in physical space, then the exponential trapezoid with
     # a forward transform of w at both ends of every step
     spec, times = phi.spec, v.times
-    comps = g.freq_components(spec)
+    comps = fs.freqs(spec)
     phihat = g.fft(spec, phi.values)
-    out = np.stack([g.ifft(spec, g.heat_multiplier(spec, s) * phihat) for s in times])
+    out = np.stack([g.ifft(spec, fs.heat(spec, s) * phihat) for s in times])
     w = np.empty_like(v.values)
     for j, s in enumerate(times):
         bsl = b.at_time(offset + s)
@@ -71,7 +72,7 @@ def _theta_per_node(phi, b, v, offset):
     Gh = np.zeros(spec.shape, dtype=complex)
     for j in range(len(times) - 1):
         dt = times[j + 1] - times[j]
-        Gh = g.heat_multiplier(spec, dt) * (Gh + (dt / 2.0) * g.fft(spec, w[j])) \
+        Gh = fs.heat(spec, dt) * (Gh + (dt / 2.0) * g.fft(spec, w[j])) \
             + (dt / 2.0) * g.fft(spec, w[j + 1])
         out[j + 1] += g.ifft(spec, Gh)
     return out

@@ -179,22 +179,22 @@ def test_drift_norms_single_mode_oracle(spec8pi):
 def test_drift_norms_are_stored_on_the_drift(monkeypatch, spec8pi):
     b = drifts.make_preset("time-varying", spec8pi, amplitude=0.8, horizon=1.0)
     first = dy.drift_norms(b)
-    calls = {"fft": 0, "ifft": 0}
+    calls = {"rfft": 0, "irfft": 0}
     for name in calls:
         def counting(*args, _name=name, _orig=getattr(g, name)):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(g, name, counting)
     assert dy.drift_norms(b) is first
-    assert calls == {"fft": 0, "ifft": 0}
+    assert calls == {"rfft": 0, "irfft": 0}
     # shifted and mollified drifts are new instances: they compute their own
     assert dy.drift_norms(b.shift(0.5)) == _drift_norms_per_sample(b.shift(0.5))
-    assert calls["fft"] > 0
+    assert calls["rfft"] > 0
     before = dict(calls)
     mollified = dy.mollify_drift(b, 2)
     after_mollify = dict(calls)
     assert dy.drift_norms(mollified) == _drift_norms_per_sample(mollified)
-    assert calls["fft"] > after_mollify["fft"] > before["fft"]
+    assert calls["rfft"] > after_mollify["rfft"] > before["rfft"]
 
 
 def test_drift_values_are_read_only_but_the_callers_array_is_not(spec8pi_small):
@@ -306,6 +306,8 @@ def test_shift_past_horizon(spec8pi_small):
     assert b.shift(0.5).horizon == pytest.approx(0.5)
     with pytest.raises(ValueError, match="horizon"):
         b.shift(1.5)
+    with pytest.raises(ValueError, match="nonnegative"):  # would re-time the samples
+        b.shift(-0.5)
     static = drifts.single_mode_drift(spec8pi_small)
     moved = static.shift(1.5)  # a one-sample drift is the same at every time
     assert np.array_equal(moved.times, [0.0])

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatlab import grid as g
+from heatlab import (
+    bounds,
+    cauchy as cy,
+    drifts,
+    dyadic as dy,
+    grid as g,
+    montecarlo as mc,
+    parametrix as px,
+)
 from heatlab.errors import (
     DivergentMoment,
     NotPowerOfTwo,
@@ -200,3 +208,36 @@ def test_field_rejects_nonfinite(spec40):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         g.GridField(spec40, bad)
+
+
+def test_real_fields_take_no_full_spectrum_transform(monkeypatch):
+    # every real field goes through grid.rfft/grid.irfft: the series at an
+    # off-grid source in d=1 and d=2, the matrix, the fixed point, the dyadic
+    # machinery, the KDE (a zero drift reads no drift table) and the Gaussians
+    one = g.make_grid(1, 64, 8 * np.pi)
+    two = g.make_grid(2, 32, 8 * np.pi)
+    traveling = drifts.make_preset("traveling-mode", one, horizon=1.0)
+    single = drifts.single_mode_drift(g.make_grid(1, 128, 8 * np.pi), amplitude=1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-spectrum transform of a real field")
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    for spec in (one, two):
+        px.gamma_series(drifts.single_mode_drift(spec, amplitude=1.0), 0.5,
+                        np.full(spec.d, 1.2345), K_max=3, m=16)
+    px.transition_matrix(traveling, 0.5, [[-2.0], [0.3], [1.7]], K_max=3, m=16)
+    dy.drift_norms(traveling)
+    cy.gamma_via_cauchy(traveling, 0.25, 0.3)
+    f = g.gaussian(one, 0.3)
+    dy.besov_norm(f, dy.BesovIndex(0.5))
+    dy.block(f, 1)
+    dy.mollify_drift(traveling, 2)
+    ens = mc.simulate(drifts.zero_drift(one), 0.0, 0.1, 0.01, 200, seed=0)
+    mc.density_at(ens, 0.1)
+    g.gaussian_shifted(two, 0.3, [0.7, -1.1])
+    g.gaussian_deriv(two, 0.3, (1, 0))
+    g.semigroup_apply(f, 0.2)
+    g.convolve(f, f)
+    bounds.ibound_table(single, [0.5], k_max=1, m=16, y_points=[0.0])

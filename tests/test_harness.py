@@ -162,8 +162,10 @@ def test_mollify_sweep_builds_each_mollified_drift_once(tmp_path, monkeypatch):
 
 
 def test_run_unknown_subcommand(tmp_path):
+    out = tmp_path / "never"
     with pytest.raises(KeyError):
-        harness.run("frobnicate", harness.ExperimentConfig.default(), tmp_path)
+        harness.run("frobnicate", harness.ExperimentConfig.default(), out)
+    assert not out.exists()
 
 
 def test_run_failure_names_violation(tmp_path):
@@ -178,6 +180,11 @@ def test_run_failure_names_violation(tmp_path):
     text = paths[0].read_text()
     assert "# status = failed: NoDecay" in text
     assert "NoDecay" in text
+    # a zero Monte Carlo time step is a failed report, not a traceback
+    cfg = harness.ExperimentConfig.default(**{**LIGHT, "mc.h_t": 0.0})
+    status, paths = harness.run("escape", cfg, tmp_path)
+    assert status == 1
+    assert "# status = failed: ValueError" in paths[0].read_text()
 
 
 def test_cli_main(tmp_path, capsys):

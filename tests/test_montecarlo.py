@@ -249,6 +249,9 @@ def test_simulate_guards(spec8pi_small):
         mc.simulate(b, 0.0, 0.1, 0.01, 100, seed=0)
     with pytest.raises(ValueError):
         mc.simulate(drifts.zero_drift(spec8pi_small), 0.0, 1.0, 0.05, 100, seed=0)
+    for h_t in (0.0, -0.01):  # no division by zero, no misleading snapshot error
+        with pytest.raises(ValueError, match="h_t"):
+            mc.simulate(drifts.zero_drift(spec8pi_small), 0.0, 1.0, h_t, 100, seed=0)
 
 
 def test_simulate_brownian_variance(spec8pi):
@@ -285,7 +288,8 @@ def test_density_zero_drift_within_budget(spec8pi):
 
 def _density_per_dimension(e, t):
     # density_at with the default bandwidth, binned by one branch per
-    # dimension (the form before the corner loop)
+    # dimension (the form before the corner loop) and smoothed on the half
+    # spectrum as density_at smooths, so the binning is pinned bit for bit
     spec, n = e.spec, e.spec.n
     idx = ((e.positions(t) - (-spec.L / 2)) % spec.L) / spec.h
     i0 = np.floor(idx).astype(np.int64) % n
@@ -301,7 +305,7 @@ def _density_per_dimension(e, t):
                 cells = ((i0[:, 0] + da) % n) * n + (i0[:, 1] + db) % n
                 counts += np.bincount(cells, weights=wa * wb, minlength=n * n)
         hist = counts.reshape(n, n) * w
-    return g.ifft(spec, g.heat_multiplier(spec, (2 * spec.h) ** 2) * g.fft(spec, hist))
+    return g.irfft(spec, g.heat_multiplier(spec, (2 * spec.h) ** 2) * g.rfft(spec, hist))
 
 
 @pytest.mark.parametrize("d,n", [(1, 512), (1, 64), (2, 32)])

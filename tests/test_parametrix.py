@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import full_spectrum as fs
 from heatlab import cauchy as cy, drifts, grid as g, parametrix as px
 from heatlab.dyadic import DriftField
 from heatlab.errors import NoDecay, QuadratureDivergence, WraparoundRisk
@@ -180,10 +181,10 @@ def _series_per_node(b, t, y, K_max=12, tol=1e-6, m=128):
     # trapezoid on a forward transform of each family (with its even-node
     # Richardson twin); returns (K_used, gamma, quad_gap)
     spec = b.spec
-    comps = g.freq_components(spec)
+    comps = fs.freqs(spec)
     s = px.time_nodes(t, m)
     y = np.asarray(y, dtype=float)
-    dhat = np.stack([g.delta_hat(spec, yy) for yy in np.atleast_2d(y)])
+    dhat = np.stack([fs.delta(spec, yy) for yy in np.atleast_2d(y)])
     dhat = dhat if y.ndim == 2 else dhat[0]
 
     def neg_div(j, v):
@@ -195,14 +196,14 @@ def _series_per_node(b, t, y, K_max=12, tol=1e-6, m=128):
         Gh, out = np.zeros_like(psi_hat[0]), [np.zeros(dhat.shape)]
         for j0, j1 in zip(idx[:-1], idx[1:]):
             dt = s[j1] - s[j0]
-            Gh = g.heat_multiplier(spec, dt) * (Gh + (dt / 2.0) * psi_hat[j0]) \
+            Gh = fs.heat(spec, dt) * (Gh + (dt / 2.0) * psi_hat[j0]) \
                 + (dt / 2.0) * psi_hat[j1]
             out.append(g.ifft(spec, Gh))
         return Gh, np.stack(out)
 
-    fields = np.stack([neg_div(j, g.ifft(spec, dhat * g.heat_multiplier(spec, sj)))
+    fields = np.stack([neg_div(j, g.ifft(spec, dhat * fs.heat(spec, sj)))
                        for j, sj in enumerate(s)])
-    gamma_hat = dhat * g.heat_multiplier(spec, t)
+    gamma_hat = dhat * fs.heat(spec, t)
     sup_p = g.gaussian(spec, t).values.max()
     quad_gap = 0.0
     for k in range(1, K_max + 1):
@@ -250,15 +251,15 @@ def test_series_matches_per_node_loop(spec8pi_small, make_drift, y):
     (2, "single-mode"), (2, "traveling-mode"), (2, "multi-mode"),
 ])
 def test_off_grid_sources_match_the_full_spectrum_route(d, preset):
-    # delta_hat of an off-grid source is not Hermitian on its Nyquist rows, and
-    # in d=2 its slice is no real field's half spectrum (taken as the source,
-    # it moved these kernels by 5e-3 to 2e-2); the engine's source is the half
-    # spectrum of the real field the full-spectrum route transforms
+    # the full spectrum of an off-grid source is not Hermitian on its Nyquist
+    # rows, and in d=2 its slice is no real field's half spectrum (taken as
+    # the source, it moved these kernels by 5e-3 to 2e-2); grid.delta_hat is
+    # the half spectrum of the real field the full-spectrum route transforms
     spec = g.make_grid(d, 128 if d == 1 else 32, 8 * np.pi)
     b = drifts.make_preset(preset, spec, horizon=1.0)
     y = np.full(d, 1.2345) if d == 2 else 1.2345
     _, _, source, _ = px._first_family(b, 0.5, y, 8)
-    point = g.ifft(spec, g.delta_hat(spec, y))
+    point = g.ifft(spec, fs.delta(spec, y))
     assert np.abs(g.irfft(spec, source) - point).max() <= 1e-13 * np.abs(point).max()
     res = px.gamma_series(b, 0.5, y, m=64)
     k, gamma, _ = _series_per_node(b, 0.5, y, m=64)
@@ -306,10 +307,9 @@ def test_series_transforms_per_term_do_not_grow_with_nodes(spec8pi_small, monkey
 
 def _neg_div_hat_formula(spec, bs, v):
     # -sum_c D_c * h^d RFFT(b_c v) on the real product, with fresh temporaries
-    # and the derivative multipliers cut to the half spectrum
     axes = tuple(range(-spec.d, 0))
     bs = np.expand_dims(bs, tuple(range(2, v.ndim + 1 - spec.d)))
-    return -sum(g.deriv_multiplier(spec, mu)[..., : spec.n // 2 + 1]
+    return -sum(g.deriv_multiplier(spec, mu)
                 * (spec.cell * np.fft.rfftn(bs[:, c] * v, axes=axes))
                 for c, mu in enumerate(np.eye(spec.d, dtype=int)))
 
@@ -317,7 +317,7 @@ def _neg_div_hat_formula(spec, bs, v):
 def _trapezoid_formula(spec, w_hat, times):
     # the recurrence on a zeroed stack, one fresh temporary per operation
     dts = np.diff(times)
-    H = g.heat_multiplier(spec, dts)[..., : spec.n // 2 + 1]
+    H = g.heat_multiplier(spec, dts)
     G_hat = np.zeros_like(w_hat)
     for j, dt in enumerate(dts):
         G_hat[j + 1] = H[j] * (G_hat[j] + (dt / 2.0) * w_hat[j]) + (dt / 2.0) * w_hat[j + 1]
@@ -426,7 +426,7 @@ def _series_one_block(b, t, y, K_max=12, tol=1e-6, m=64):
     # stop test and the Richardson gap read the whole batch directly
     spec = b.spec
     s, bs, dhat, psi_hat = px._first_family(b, t, y, m)
-    gamma_hat = dhat * g.heat_multiplier(spec, t)[..., : spec.n // 2 + 1]
+    gamma_hat = dhat * g.heat_multiplier(spec, t)
     sup_p = float(g.gaussian(spec, t).values.max())
     terms, sups, quad_gap = [], [], 0.0
     for k in range(1, K_max + 1):
