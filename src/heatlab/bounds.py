@@ -4,7 +4,8 @@ Covers the beta-function bounds, the factorial-gain series inequality, the
 empirical correction-size integrals I^beta_{i,k} with their closed-form
 dominating sums, two-sided envelope constants with their growth regression,
 the constant-drift sharpness formulas, and the composition bootstrap for the
-lower envelope.
+lower envelope.  The I-table walks the correction families with
+`parametrix._families`, which steps with the series' own checked Duhamel step.
 
 Constants here are existential in the underlying estimates; the laboratory
 fits minimal constants empirically and asserts their stability, never a
@@ -23,8 +24,7 @@ from scipy.special import gammaln, logsumexp
 from . import grid as g
 from .dyadic import DriftField, drift_norms
 from .errors import EnvelopeViolated
-from .parametrix import (_first_family, _neg_div_hat, _richardson_gap, _trapezoid,
-                         transition_matrix)
+from .parametrix import _families, transition_matrix
 
 __all__ = [
     "beta_fn",
@@ -162,18 +162,6 @@ def _sup_ratio_norms(spec, fields_hat, pc_vals, mask, order: int) -> np.ndarray:
         vals = g.irfft(spec, g.deriv_multiplier(spec, mu) * fields_hat)
         total = total + (np.abs(vals)[:, mask] / pc_vals[mask]).max(axis=1)
     return total
-
-
-def _families(b: DriftField, t: float, y: float, m: int):
-    """Psi^{y,1}, Psi^{y,2}, ... as (node times, spectra) from the engine, each
-    built once from the one before, with the Richardson check on its step."""
-    spec = b.spec
-    s, bs, _, psi_hat = _first_family(b, t, y, m)
-    while True:
-        yield s, psi_hat
-        G = g.irfft(spec, _trapezoid(spec, psi_hat, s))
-        _richardson_gap(spec, psi_hat, s, G[-1])
-        psi_hat = _neg_div_hat(spec, bs, G)
 
 
 def _ratio_stacks(b: DriftField, t: float, k_max: int, y_points, pc: g.GridField,

@@ -43,7 +43,6 @@ __all__ = [
     "besov_norm_values",
     "drift_norms",
     "mollify_drift",
-    "product_bound_ratio",
 ]
 
 #: sentinel index selecting the sum of all blocks i >= 0
@@ -291,27 +290,3 @@ def mollify_drift(b: DriftField, n: int) -> DriftField:
     mult = sum(part.multiplier(i) for i in range(1, min(n, part.j_max) + 1))
     out = g.irfft(b.spec, mult * g.rfft(b.spec, b.values))
     return DriftField(b.spec, b.times.copy(), out, b.alpha, tag=f"{b.tag}^({n})")
-
-
-def product_bound_ratio(u: g.GridField, v: g.GridField, alpha: float, beta: float,
-                        p_1, p_2, q_1, q_2) -> float:
-    """Ratio ||u*v||_{B^alpha_{p,r}} / (||u||_{B^alpha_{p1,q1}} ||v||_{B^beta_{p2,q2}}).
-
-    r = q_1 and 1/p = 1/p_1 + 1/p_2; used to observe boundedness of the
-    product estimate over samples.  Requires alpha < 0 < beta, alpha+beta > 0.
-    """
-    if not (alpha < 0 < beta):
-        raise ValueError("need alpha < 0 < beta")
-    if alpha + beta <= 0:
-        raise ValueError(f"need alpha + beta > 0, got {alpha + beta}")
-    if u.spec != v.spec:
-        raise SpecMismatch("product operands on different grids")
-    inv = (0.0 if p_1 == np.inf else 1.0 / p_1) + (0.0 if p_2 == np.inf else 1.0 / p_2)
-    p = np.inf if inv == 0 else 1.0 / inv
-    num = besov_norm(g.GridField(u.spec, u.values * v.values),
-                     BesovIndex(alpha, p, q_1))
-    den = besov_norm(u, BesovIndex(alpha, p_1, q_1)) * besov_norm(
-        v, BesovIndex(beta, p_2, q_2))
-    if den == 0:
-        return 0.0
-    return num / den

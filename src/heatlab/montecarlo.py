@@ -231,6 +231,8 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     spec = b_smooth.spec
     if not 0 < h_t <= 1e-2 + 1e-15:
         raise ValueError(f"h_t must be in (0, 1e-2], got {h_t}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1 paths, got {N}")
     sup_b = float(np.abs(b_smooth.values).max())
     if h_t * sup_b > 0.5:
         raise StepTooLarge(f"h_t * sup|b| = {h_t * sup_b:.3g} > 0.5")

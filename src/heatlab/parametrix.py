@@ -29,7 +29,10 @@ spectrum `_neg_div_hat` of -div(b_s v_s) on that stack, the
 exponential-trapezoid recurrence `_trapezoid` on spectra and the heat stack
 `_heat_stack`.  The families Psi^{y,k} stay spectral: each term takes one
 batched inverse transform of the G_k stack and one forward transform per
-drift component.
+drift component.  One checked step, `_duhamel` (the trapezoid on every node
+and its Richardson gap against the even-node subgrid), builds G_k from
+Psi^{y,k} for the series and for the family walk `_families`, which the
+I-tables in `bounds` consume.
 
 Every field of the engine is real, so it works on the half spectra of
 `grid`, whose multipliers and point source are all built there.
@@ -92,9 +95,13 @@ _CHUNK = 8
 
 
 def time_nodes(t: float, m: int) -> np.ndarray:
-    """Quadrature nodes t*sin^2(pi*j/2m), j=0..m; graded at both endpoints."""
-    if m % 2:
-        m += 1
+    """Quadrature nodes t*sin^2(pi*j/2m), j=0..m; graded at both endpoints.
+
+    m >= 1, and an odd m is rounded up to the next even count.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1 quadrature intervals, got {m}")
+    m += m % 2
     j = np.arange(m + 1)
     return t * np.sin(np.pi * j / (2 * m)) ** 2
 
@@ -193,11 +200,16 @@ def _heat_stack(spec: g.GridSpec, f_hat: np.ndarray, times: np.ndarray) -> np.nd
     return g.irfft(spec, H * f_hat)
 
 
-def _richardson_gap(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
-                    fine: np.ndarray) -> tuple:
-    """(gap, max|fine|) at the last node, where `fine` is the trapezoid on all
-    nodes (physical), coarse the trapezoid on the even-index subgrid and the
-    gap max|coarse - fine| / max|fine|; raises QuadratureDivergence above 1/2."""
+def _duhamel(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray) -> tuple:
+    """The checked Duhamel step: (G_hat, G_m, gap, max|G_m|).
+
+    G_hat is the trapezoid (`_trapezoid`) on every node, G_m its last-node
+    field (physical), and the gap max|coarse - G_m| / max|G_m|, where coarse
+    is the trapezoid on the even-index subgrid; raises QuadratureDivergence
+    above 1/2.
+    """
+    G_hat = _trapezoid(spec, w_hat, times)
+    fine = g.irfft(spec, G_hat[-1])
     coarse = g.irfft(spec, _trapezoid(spec, w_hat[::2], times[::2], last=True))
     mismatch, scale = float(np.abs(coarse - fine).max()), float(np.abs(fine).max())
     gap = mismatch / scale if scale > 0 else 0.0
@@ -205,7 +217,7 @@ def _richardson_gap(spec: g.GridSpec, w_hat: np.ndarray, times: np.ndarray,
         raise QuadratureDivergence(
             f"coarse/fine Duhamel mismatch {gap:.2e}; time grid too coarse"
         )
-    return gap, scale
+    return G_hat, fine, gap, scale
 
 
 def _check_horizon(b: DriftField, t: float):
@@ -228,6 +240,17 @@ def _first_family(b: DriftField, t: float, y, m: int):
     s = time_nodes(t, m)
     bs = b.at_time(s)
     return s, bs, dhat, _neg_div_hat(spec, bs, _heat_stack(spec, dhat, s))
+
+
+def _families(b: DriftField, t: float, y, m: int):
+    """Psi^{y,1}, Psi^{y,2}, ... as (node times, spectra), each built once from
+    the one before by the checked Duhamel step `_duhamel`; the I-tables in
+    `bounds` walk them."""
+    s, bs, _, psi_hat = _first_family(b, t, y, m)
+    while True:
+        yield s, psi_hat
+        G_hat, *_ = _duhamel(b.spec, psi_hat, s)
+        psi_hat = _neg_div_hat(b.spec, bs, g.irfft(b.spec, G_hat))
 
 
 # -- the series ----------------------------------------------------------------
@@ -271,9 +294,7 @@ def gamma_series(b: DriftField, t: float, y, K_max: int = 12, tol: float = 1e-6,
     sups = []
     quad_gap = 0.0
     for k in range(1, K_max + 1):
-        G_hat = _trapezoid(spec, psi_hat, s)
-        term = g.irfft(spec, G_hat[-1])
-        gap, scale = _richardson_gap(spec, psi_hat, s, term)
+        G_hat, term, gap, scale = _duhamel(spec, psi_hat, s)
         del psi_hat  # batched stacks are large: free each one once it is used
         quad_gap = max(quad_gap, gap)
         gamma_hat = gamma_hat + G_hat[-1]

@@ -329,23 +329,23 @@ def test_ibound_table_builds_three_ratio_stacks_per_family(spec8pi, monkeypatch)
 
 
 def test_ibound_table_builds_each_family_once(spec8pi, monkeypatch):
-    # each (t, source) walks k = 1..k_max once: one first family, then one
-    # -div(b G) step per further family (a restart at k = 1 per k would build
-    # 1 + 2 + 3 families per pair)
+    # each (t, source) walks k = 1..k_max once (`parametrix._families`): one
+    # first family, then one checked Duhamel step per further family (a
+    # restart at k = 1 per k would build 1 + 2 + 3 families per pair)
     b = drifts.single_mode_drift(spec8pi, amplitude=1.0)
     ts, k_max, ys = [0.5, 1.0], 3, [0.0, 1.3]
     firsts, steps = [], []
 
-    def first_family(b_, t, y, m, _orig=bounds._first_family):
+    def first_family(b_, t, y, m, _orig=px._first_family):
         firsts.append((t, y))
         return _orig(b_, t, y, m)
 
-    def neg_div_hat(spec, bs, v, _orig=bounds._neg_div_hat):
+    def duhamel(spec, w_hat, times, _orig=px._duhamel):
         steps.append(1)
-        return _orig(spec, bs, v)
+        return _orig(spec, w_hat, times)
 
-    monkeypatch.setattr(bounds, "_first_family", first_family)
-    monkeypatch.setattr(bounds, "_neg_div_hat", neg_div_hat)
+    monkeypatch.setattr(px, "_first_family", first_family)
+    monkeypatch.setattr(px, "_duhamel", duhamel)
     bounds.ibound_table(b, ts, k_max=k_max, m=32, y_points=ys)
     assert sorted(firsts) == sorted((t, y) for t in ts for y in ys)
     assert len(steps) == (k_max - 1) * len(ts) * len(ys)

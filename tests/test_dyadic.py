@@ -268,39 +268,6 @@ def test_mollify_converges_and_norms_bounded(spec8pi):
         assert Yn <= 2 * Y + 1e-12
 
 
-def test_product_bound_ratio(spec8pi):
-    zero = g.GridField(spec8pi, np.zeros(spec8pi.shape))
-    one = g.GridField(spec8pi, np.ones(spec8pi.shape))
-    rng = np.random.default_rng(7)
-    u = g.GridField(spec8pi, rng.standard_normal(spec8pi.shape))
-    assert dy.product_bound_ratio(zero, u, -0.3, 1.5, np.inf, np.inf, 1, 1) == 0.0
-    r_one = dy.product_bound_ratio(u, one, -0.3, 1.5, np.inf, np.inf, 1, 1)
-    assert np.isfinite(r_one) and r_one < 10
-    with pytest.raises(ValueError):
-        dy.product_bound_ratio(u, one, -0.5, 0.3, np.inf, np.inf, 1, 1)
-
-
-def test_product_bound_ratio_random_sample(spec8pi_small):
-    # empirical sup of the product estimate ratio over band-limited pairs
-    spec = spec8pi_small
-    part = dy.build_partition(spec)
-    rng = np.random.default_rng(8)
-    x = spec.axis_points()
-    worst = 0.0
-    for _ in range(100):
-        uu = np.zeros(spec.shape)
-        vv = np.zeros(spec.shape)
-        for _ in range(4):
-            k1, k2 = rng.integers(1, spec.n // 4, size=2)
-            uu += rng.normal() * np.cos(2 * np.pi * k1 / spec.L * x + rng.uniform(0, 7))
-            vv += rng.normal() * np.cos(2 * np.pi * k2 / spec.L * x + rng.uniform(0, 7))
-        r = dy.product_bound_ratio(g.GridField(spec, uu), g.GridField(spec, vv),
-                                   -0.3, 1.5, np.inf, np.inf, 1, 1)
-        worst = max(worst, r)
-    assert np.isfinite(worst)
-    assert worst < 100
-
-
 def test_shift_past_horizon(spec8pi_small):
     b = drifts.make_preset("traveling-mode", spec8pi_small, horizon=1.0)
     assert b.shift(0.5).horizon == pytest.approx(0.5)

@@ -187,6 +187,22 @@ def test_run_failure_names_violation(tmp_path):
     assert "# status = failed: ValueError" in paths[0].read_text()
 
 
+def test_run_reports_empty_node_grids_and_ensembles(tmp_path):
+    # no quadrature interval (a NaN node) and no Monte Carlo path (a division
+    # by zero in escape_prob) are failed reports, not a drift-free kernel or a
+    # traceback
+    cfg = harness.ExperimentConfig.default(**{
+        **LIGHT, "truncation.m": 0, "drift.preset": "constant", "times": [1.0]})
+    status, paths = harness.run("parametrix", cfg, tmp_path)
+    assert status == 1
+    assert "# status = failed: ValueError" in paths[0].read_text()
+    for N in (0, -3):
+        cfg = harness.ExperimentConfig.default(**{**LIGHT, "mc.N": N})
+        status, paths = harness.run("escape", cfg, tmp_path)
+        assert status == 1
+        assert "# status = failed: ValueError" in paths[0].read_text()
+
+
 def test_cli_main(tmp_path, capsys):
     rc = cli.main(["sharpness", "--out", str(tmp_path / "r"),
                    "--config", _write_light_cfg(tmp_path)])

@@ -252,6 +252,9 @@ def test_simulate_guards(spec8pi_small):
     for h_t in (0.0, -0.01):  # no division by zero, no misleading snapshot error
         with pytest.raises(ValueError, match="h_t"):
             mc.simulate(drifts.zero_drift(spec8pi_small), 0.0, 1.0, h_t, 100, seed=0)
+    for N in (0, -3):  # no division by zero in escape_prob, no numpy shape error
+        with pytest.raises(ValueError, match="N must be"):
+            mc.simulate(drifts.zero_drift(spec8pi_small), 0.0, 1.0, 0.01, N, seed=0)
 
 
 def test_simulate_brownian_variance(spec8pi):

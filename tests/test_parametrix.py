@@ -1,10 +1,12 @@
 """Correction-series construction: families, series, composition."""
 
+import itertools
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import full_spectrum as fs
 from heatlab import cauchy as cy, drifts, grid as g, parametrix as px
@@ -13,14 +15,11 @@ from heatlab.errors import NoDecay, QuadratureDivergence, WraparoundRisk
 
 
 def _families(b, t, k_max, m=128):
-    """Node times and Psi^{0,k} in physical space, k = 1..k_max, via the engine."""
-    spec = b.spec
-    s, bs, _, psi_hat = px._first_family(b, t, 0.0, m)
-    fams = [g.irfft(spec, psi_hat)]
-    for _ in range(k_max - 1):
-        psi_hat = px._neg_div_hat(spec, bs, g.irfft(spec, px._trapezoid(spec, psi_hat, s)))
-        fams.append(g.irfft(spec, psi_hat))
-    return s, fams
+    """Node times and Psi^{0,k} in physical space, k = 1..k_max, from the
+    engine's family walk."""
+    walk = px._families(b, t, 0.0, m)
+    fams = [next(walk) for _ in range(k_max)]
+    return fams[0][0], [g.irfft(b.spec, psi_hat) for _, psi_hat in fams]
 
 
 def _l1_norms(spec, fields):
@@ -72,6 +71,39 @@ def test_gamma_series_zero_drift(spec8pi):
         res = px.gamma_series(drifts.zero_drift(spec8pi), t, 0.0)
         assert res.K_used == 1
         assert np.abs(res.gamma.values - g.gaussian(spec8pi, t).values).max() < 1e-8
+
+
+def test_time_nodes_need_an_interval(spec8pi_small):
+    # m = 0 divides by zero in the node formula: a NaN node, and a series
+    # that silently drops every correction
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m >= 1"):
+            px.time_nodes(1.0, m)
+    with pytest.raises(ValueError, match="m >= 1"):
+        px.gamma_series(drifts.constant_drift(spec8pi_small, 1.0), 1.0, 0.0, m=0)
+    # an odd m still rounds up to the next even count
+    assert np.array_equal(px.time_nodes(1.0, 1), px.time_nodes(1.0, 2))
+    assert np.array_equal(px.time_nodes(1.0, 3), px.time_nodes(1.0, 4))
+    assert len(px.time_nodes(1.0, 1)) == 3
+
+
+_PROPERTY_SPEC = g.make_grid(1, 128, 8 * np.pi)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(t=st.floats(0.1, 1.0), cell=st.integers(-16, 16), frac=st.floats(0.05, 0.95),
+       preset=st.sampled_from(["zero", "single-mode", "multi-mode", "time-varying",
+                               "refreshing-mode", "traveling-mode"]),
+       amplitude=st.floats(0.0, 1.0))
+def test_series_keeps_unit_mass_and_the_driftless_gaussian(t, cell, frac, preset,
+                                                           amplitude):
+    spec = _PROPERTY_SPEC
+    y = (cell + frac) * spec.h  # off the grid
+    b = drifts.make_preset(preset, spec, amplitude=amplitude)
+    res = px.gamma_series(b, t, y, m=64)
+    assert abs(res.gamma.integral() - 1.0) <= 1e-12
+    if preset == "zero":
+        assert res.gamma.values.tobytes() == g.gaussian_shifted(spec, t, y).values.tobytes()
 
 
 def test_gamma_series_constant_drift(spec8pi):
@@ -127,9 +159,8 @@ def test_quadrature_divergence_detected(spec8pi_small):
     s = px.time_nodes(1.0, 8)
     base = g.gaussian(spec, 0.5).values
     psi_hat = g.rfft(spec, np.stack([(-1.0) ** j * base for j in range(len(s))]))
-    fine = g.irfft(spec, px._trapezoid(spec, psi_hat, s)[-1])
     with pytest.raises(QuadratureDivergence):
-        px._richardson_gap(spec, psi_hat, s, fine)
+        px._duhamel(spec, psi_hat, s)
 
 
 def test_series_term_vs_family_propagation(spec8pi_small):
@@ -148,11 +179,9 @@ def test_correction_spectra_are_those_of_real_fields(spec8pi_small):
     # the inverse transform instead of showing in the field
     spec = spec8pi_small
     b = drifts.make_preset("multi-mode", spec)
-    s, bs, _, psi_hat = px._first_family(b, 0.5, 1.9, 64)
-    for _ in range(3):
+    for _, psi_hat in itertools.islice(px._families(b, 0.5, 1.9, 64), 3):
         real = g.rfft(spec, g.irfft(spec, psi_hat))
         assert np.abs(psi_hat - real).max() <= 1e-13 * np.abs(psi_hat).max()
-        psi_hat = px._neg_div_hat(spec, bs, g.irfft(spec, px._trapezoid(spec, psi_hat, s)))
 
 
 def test_chapman_kolmogorov_zero_and_constant(spec8pi_small):
@@ -367,8 +396,10 @@ def test_trapezoid_is_bit_identical_to_its_formula(case):
     fine = g.irfft(spec, _trapezoid_formula(spec, psi_hat, s)[-1])
     expect = g.irfft(spec, coarse[-1])
     scale = float(np.abs(fine).max())
-    assert px._richardson_gap(spec, psi_hat, s, fine) == (
-        float(np.abs(expect - fine).max()) / scale, scale)
+    G_hat, last, gap, sup = px._duhamel(spec, psi_hat, s)
+    assert np.array_equal(G_hat, _trapezoid_formula(spec, psi_hat, s))
+    assert np.array_equal(last, fine)
+    assert (gap, sup) == (float(np.abs(expect - fine).max()) / scale, scale)
     assert np.array_equal(psi_hat, kept)
 
 
