@@ -1,9 +1,11 @@
 """Probabilistic cross-validation: paths, densities, escape probabilities.
 
-Counter-based randomness makes ensembles bit-reproducible under any chunking;
+Counter-based randomness makes ensembles bit-reproducible on any CPU count;
 kernel density estimates of wrapped samples are compared against the series
 kernel, and escape probabilities against the reflection-principle oracle.
 """
+
+import os
 
 import numpy as np
 
@@ -13,11 +15,19 @@ spec = g.make_grid(1, 256, 8 * np.pi)
 N, T, h_t = 100_000, 1.0, 2e-3
 
 # Reproducibility: the increment stream is addressed by (path, step), so
-# chunking cannot change anything.
+# splitting the paths into one slice per CPU cannot change anything.  One run
+# is capped to one CPU, as `heatlab --threads 1` does; the other runs on the
+# full CPU mask, where 40000 paths (over two slices of at least 16384) split.
 b = drifts.single_mode_drift(spec, amplitude=1.0, xi0=1.0)
-e1 = mc.simulate(b, 0.0, 0.1, 0.01, 2000, seed=1, chunk=128)
-e2 = mc.simulate(b, 0.0, 0.1, 0.01, 2000, seed=1, chunk=1 << 20)
-print(f"chunking changes results: {not np.array_equal(e1.positions(0.1), e2.positions(0.1))}")
+cpus = os.sched_getaffinity(0)
+os.sched_setaffinity(0, sorted(cpus)[:1])
+try:
+    e1 = mc.simulate(b, 0.0, 0.1, 0.01, 40_000, seed=1)
+finally:
+    os.sched_setaffinity(0, cpus)
+e2 = mc.simulate(b, 0.0, 0.1, 0.01, 40_000, seed=1)
+same = np.array_equal(e1.positions(0.1), e2.positions(0.1))
+print(f"1 CPU and {len(cpus)} CPUs give the same ensemble: {same}")
 
 # KDE vs series kernel for the cos drift.
 ens = mc.simulate(b, 0.0, T, h_t, N, seed=42, snapshot_times=[T])

@@ -171,14 +171,16 @@ def _ratio_stacks(b: DriftField, t: float, k_max: int, y_points, pc: g.GridField
     derivatives of P_{t-s} Psi^{y,k}_s to the envelope pc = p(ct, .) centred
     at y.  Every source walks its families once.
 
-    d=1 only and k_max <= 4 (cost guard).  Default sources: four points a
-    quarter box apart.
+    d=1 only and 1 <= k_max <= 4 (the upper limit is a cost guard).  Default
+    sources: four points a quarter box apart.
     """
     spec = b.spec
     if spec.d != 1:
         raise ValueError("i_empirical is d=1 only")
     if k_max > 4:
         raise ValueError("k <= 4 (cost guard)")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if y_points is None:
         y_points = spec.axis_points()[:: spec.n // 4][:4]
     walks = [(float(y), _families(b, t, float(y), m)) for y in np.atleast_1d(y_points)]
@@ -300,9 +302,8 @@ def sharp_const_drift(lam: float, dilation: float, t: float, d: int,
 class EnvelopeReport:
     """Fitted envelope constants across a (time, amplitude) sweep.
 
-    per_amplitude_slopes regress each amplitude's own points; loo_slopes
-    refit the pooled regression with one amplitude left out (the stability
-    check: no single amplitude may drive the fitted growth law).
+    loo_slopes refit the pooled regression with one amplitude left out (the
+    stability check: no single amplitude may drive the fitted growth law).
     """
 
     c: float
@@ -310,9 +311,7 @@ class EnvelopeReport:
     alpha: float
     rows: list  # dicts: t, amplitude, X, Y, C_upper, kappa, C_lower
     slope: float
-    intercept: float
     r2: float
-    per_amplitude_slopes: dict
     loo_slopes: dict
 
 
@@ -396,20 +395,14 @@ def fit_envelope(entries, c: float, alpha: float = 0.25) -> EnvelopeReport:
     ss_res = float(((ys - pred) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    per_amp = {}
     loo = {}
     for a in amps:
-        sel = np.array([r["amplitude"] == a for r in rows])
-        if sel.sum() >= 2 and np.ptp(xs[sel]) > 0:
-            sl, _ = np.polyfit(xs[sel], ys[sel], 1)
-            per_amp[a] = float(sl)
-        rest = ~sel
+        rest = np.array([r["amplitude"] != a for r in rows])
         if rest.sum() >= 2 and np.ptp(xs[rest]) > 0:
             sl, _ = np.polyfit(xs[rest], ys[rest], 1)
             loo[a] = float(sl)
     return EnvelopeReport(c=c, kappa=float(min(kappa_chosen)), alpha=alpha,
-                          rows=rows, slope=float(slope), intercept=float(intercept),
-                          r2=float(r2), per_amplitude_slopes=per_amp, loo_slopes=loo)
+                          rows=rows, slope=float(slope), r2=float(r2), loo_slopes=loo)
 
 
 def bootstrap_lower_bound(b: DriftField, a: float, kappa: float, K_max: int = 12,

@@ -6,10 +6,18 @@ defined spectrally (multiplier exp(-t|xi|^2/2) acting on the discrete delta),
 which is exactly the band-limited periodization of the whole-space kernel and
 avoids any image-sum truncation choices.  Fields carry the quadrature rule
 integral(f) ~ h^d * sum(values).
+
+The module also owns the one parallel map of the library: `_map_blocks` runs
+independent blocks of work (the source blocks of
+`parametrix.transition_matrix`, the path slices of `montecarlo.simulate`) on
+one worker thread per CPU in the process's affinity mask, at most one per
+block, and `_workers` is the only place that reads the mask.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -356,3 +364,26 @@ def gaussian_exp_moment(c: float, kappa: float, t: float, d: int) -> float:
     half_width = 12.0 * np.sqrt(sig2 / (1.0 - 2.0 * c * kappa))
     val, _ = quad(integrand, -half_width, half_width, limit=200)
     return float(val**d)
+
+
+# -- parallel work -------------------------------------------------------------
+
+
+def _workers(n_blocks: int) -> int:
+    """Worker threads for n_blocks blocks: one per CPU in the process's
+    affinity mask, at most one per block."""
+    return min(len(os.sched_getaffinity(0)), n_blocks)
+
+
+def _map_blocks(fn, blocks: list) -> list:
+    """[fn(x) for x in blocks], computed on `_workers(len(blocks))` threads.
+
+    The pool is created per call and joined before it returns; with one
+    worker the blocks run inline and no pool starts.  The results keep block
+    order, and the first failing block in that order raises its own error.
+    """
+    workers = _workers(len(blocks))
+    if workers <= 1:
+        return [fn(x) for x in blocks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, blocks))

@@ -2,25 +2,23 @@
 
 Euler-Maruyama under smooth (mollified) drift with counter-based randomness:
 every normal increment is addressed by its absolute index (path, step,
-component), so ensembles are bit-identical under any chunking or thread
-schedule.  `simulate` splits the paths into contiguous slices, one per CPU in
-the affinity mask but none smaller than `_MIN_SLICE` paths; each slice runs
-on a worker thread with its own drift interpolator and marches its rows
-through every step, so the threads join once per run.  A single slice runs
-inline and starts no pool.  Derived statistics: kernel density estimates on
-the grid (the KDE of box-wrapped samples estimates exactly the periodized
-transition density), escape probabilities with Wilson intervals, and the
-path-modulus machinery (double-integral functional, modulus inequality
-checks, exponential sup-moments).  Fixed: `simulate` refines drift slices by
-`_UPSAMPLE`, and the reflection oracle sums `_IMAGE_TERMS` images on each
-side.
+component), so ensembles are bit-identical under any split into slices or
+thread schedule.  `simulate` splits the paths into contiguous slices, one per
+CPU in the affinity mask but none smaller than `_MIN_SLICE` paths, and more
+when a slice would pass `_MAX_SLICE` paths; `grid._map_blocks` runs each
+slice on a worker thread with its own drift interpolator, and the slice
+marches its rows through every step, so the threads join once per run.  A
+single slice runs inline and starts no pool.  Derived statistics: kernel
+density estimates on the grid (the KDE of box-wrapped samples estimates
+exactly the periodized transition density), escape probabilities with Wilson
+intervals, and the path-modulus machinery (double-integral functional,
+modulus inequality checks, exponential sup-moments).  Fixed: `simulate`
+refines drift slices by `_UPSAMPLE`, and the reflection oracle sums
+`_IMAGE_TERMS` images on each side.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -50,6 +48,10 @@ _UPSAMPLE = 16  # spectral refinement of the drift table
 # fewest paths a worker thread gets: below it the per-step Python work of two
 # threads contending for the interpreter lock outweighs the split
 _MIN_SLICE = 1 << 14
+# most paths a slice gets: a slice draws its (paths, d) normals for a step in
+# one block, so this bounds the memory each worker holds in flight.  Being at
+# least 2 _MIN_SLICE, it adds slices only when every CPU already has a worker
+_MAX_SLICE = 1 << 20
 _IMAGE_TERMS = 64  # image-series half-width of the reflection oracle
 
 
@@ -209,21 +211,23 @@ class Ensemble:
 
 
 def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
-             snapshot_times=None, keep_paths: int = 0, chunk: int = 1 << 20) -> Ensemble:
+             snapshot_times=None, keep_paths: int = 0) -> Ensemble:
     """Euler-Maruyama ensemble under a grid-sampled drift.
 
     Paths are unwrapped (positions live on the line/plane); the drift is read
     through periodic trigonometric interpolation.  Increment indexing is
-    (step, path, component), so results are independent of `chunk`.
+    (step, path, component).
 
-    The paths are split into contiguous slices, one per CPU in the affinity
-    mask and each at least `_MIN_SLICE` paths long.  Every slice marches its
-    own rows through all steps on a worker thread, with its own
+    The paths are split into contiguous slices: w = one per CPU in the
+    affinity mask, at most one per `_MIN_SLICE` paths, and w times as many as
+    it takes to keep every slice within `_MAX_SLICE` paths.  `grid._map_blocks`
+    runs them on w worker threads.  Every slice marches its own rows through
+    all steps, drawing one block of normals per step, with its own
     `_DriftInterp` (whose d=1 `eval` buffers and cached drift slice are not
     shared), and writes only its own rows of the positions, `sup_dev`, the
     kept paths and the snapshots.  It reads the same counter addresses as one
     serial loop, so the ensemble is bit-identical for any CPU count and any
-    `chunk`.  With one slice the march runs inline and starts no pool.
+    slicing.  With one slice the march runs inline and starts no pool.
 
     Snapshot times must be multiples of `h_t` in [0, T], within the 1e-9
     that `T` itself must meet; positions are recorded at the end of a step.
@@ -263,24 +267,22 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
     snap_at = {s: X.copy() if s == 0 else np.empty_like(X) for s in snap_steps}
     sqdt = np.sqrt(h_t)
 
-    def march(first: int, last: int):
-        """Rows first..last-1 through every step, one chunk at a time."""
+    def march(span: tuple):
+        """Rows first..last-1 of span = (first, last) through every step."""
+        first, last = span
         interp = _DriftInterp(b_smooth)
         rows = X[first:last]
         sup = sup_dev[first:last]
         n_kept = max(0, min(keep_paths, last) - first)
         for j in range(n_steps):
-            base = j * N * d
-            for lo in range(first, last, chunk):
-                hi = min(lo + chunk, last)
-                xi = counter_normals(seed, base + lo * d, (hi - lo) * d).reshape(hi - lo, d)
-                # X += drift * h_t + sqdt * xi, in place and bit for bit
-                xi *= sqdt
-                if sup_b > 0:
-                    drift = interp.eval(t_idx[j], X[lo:hi])
-                    drift *= h_t
-                    xi += drift
-                X[lo:hi] += xi
+            xi = counter_normals(seed, (j * N + first) * d, (last - first) * d).reshape(-1, d)
+            # X += drift * h_t + sqdt * xi, in place and bit for bit
+            xi *= sqdt
+            if sup_b > 0:
+                drift = interp.eval(t_idx[j], rows)
+                drift *= h_t
+                xi += drift
+            rows += xi
             dev = rows[:, 0] - x0[0] if d == 1 else np.linalg.norm(rows - x0, axis=1)
             np.maximum(sup, np.abs(dev, out=dev), out=sup)
             if n_kept:
@@ -288,11 +290,10 @@ def simulate(b_smooth: DriftField, x0, T: float, h_t: float, N: int, seed: int,
             if (j + 1) in snap_at:
                 snap_at[j + 1][first:last] = rows
 
-    workers = max(1, min(len(os.sched_getaffinity(0)), N // _MIN_SLICE))
-    edges = [N * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool is not None else map
-        list(run(march, edges[:-1], edges[1:]))
+    workers = g._workers(max(1, N // _MIN_SLICE))
+    slices = workers * -(-N // (workers * _MAX_SLICE))
+    edges = [N * k // slices for k in range(slices + 1)]
+    g._map_blocks(march, list(zip(edges, edges[1:])))
     snapshots = {snap_steps[s]: snap_at[s] for s in sorted(snap_at)}
     return Ensemble(
         spec=spec, N=N, h_t=h_t, T=T, x0=x0, seed=seed, drift_tag=b_smooth.tag,
@@ -409,17 +410,13 @@ class GRRReport:
     G: float
     violations: int
     max_ratio: float
-    pairs_checked: int
 
 
 def _pair_tables(path: np.ndarray, times: np.ndarray) -> tuple:
-    """(path, |X_t - X_s|, |t - s|) over every pair of steps; a path of shape
-    (n, 1) is squeezed to (n,)."""
-    path = np.asarray(path, dtype=float)
-    if path.ndim == 2 and path.shape[1] == 1:
-        path = path[:, 0]
-    disp = (np.abs(path[:, None] - path[None, :]) if path.ndim == 1
-            else np.linalg.norm(path[:, None, :] - path[None, :, :], axis=-1))
+    """(path as (n, d), |X_t - X_s|, |t - s|) over every pair of steps; a path
+    of shape (n,) is read as (n, 1)."""
+    path = np.asarray(path, dtype=float).reshape(len(times), -1)
+    disp = np.linalg.norm(path[:, None, :] - path[None, :, :], axis=-1)
     return path, disp, np.abs(times[:, None] - times[None, :])
 
 
@@ -458,21 +455,16 @@ def grr_verify(path: np.ndarray, times: np.ndarray, kappa: float,
     n = len(times)
     violations = 0
     max_ratio = 0.0
-    checked = 0
     for _ in range(sample_pairs):
         i, j = sorted(rng.choice(n, size=2, replace=False))
-        if i == j:
-            continue
         dt = times[j] - times[i]
-        lhs = kappa * (abs(path[j] - path[i]) if path.ndim == 1
-                       else np.linalg.norm(path[j] - path[i]))
+        lhs = kappa * np.linalg.norm(path[j] - path[i])
         if B == 0.0:
             rhs = 0.0
         else:
             rhs, _ = quad(lambda v: 2.0 * np.sqrt(np.log1p(4.0 * B / v**4)),
                           0.0, np.sqrt(dt), limit=200)
             rhs *= 4.0
-        checked += 1
         if rhs > 0:
             max_ratio = max(max_ratio, lhs / rhs)
             if lhs > rhs * (1 + 1e-9):
@@ -480,7 +472,7 @@ def grr_verify(path: np.ndarray, times: np.ndarray, kappa: float,
         elif lhs > 1e-12:
             violations += 1
     return GRRReport(kappa=kappa, F=F, G=G, violations=violations,
-                     max_ratio=max_ratio, pairs_checked=checked)
+                     max_ratio=max_ratio)
 
 
 def pair_sup_ratio(path: np.ndarray, times: np.ndarray) -> float:

@@ -52,17 +52,14 @@ Sources may be batched: `y` with shape (B, d) yields fields with a leading
 batch axis throughout, and `gamma_series` runs the batch as one block whose
 stop test and Richardson gap read maxima over its sources.
 `transition_matrix` owns the blocking: it maps `gamma_series` over blocks of
-32 sources (`_SOURCE_BLOCK`) on a thread pool with one worker per CPU in the
-process's affinity mask, created per call, or inline with one worker.  Each
-block stops at its own K, so a matrix depends on the block size but not on
-the worker count.
+32 sources (`_SOURCE_BLOCK`) with `grid._map_blocks`, one worker thread per
+CPU in the process's affinity mask, or inline with one worker.  Each block
+stops at its own K, so a matrix depends on the block size but not on the
+worker count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -333,10 +330,10 @@ def transition_matrix(b: DriftField, t: float, sources: np.ndarray | None = None
     batch for d=2).  Returns (M, sources) with M of shape (B, *grid shape).
 
     The sources go in blocks of `_SOURCE_BLOCK`, each its own `gamma_series`
-    with its own stop test and Richardson gap, on a thread pool with one worker
-    per CPU in the process's affinity mask; with one worker the blocks run
-    inline.  The rows do not depend on the worker count, and the first failing
-    block in source order raises its own error.
+    with its own stop test and Richardson gap, mapped by `grid._map_blocks`
+    (one worker per CPU in the process's affinity mask, inline with one).
+    The rows do not depend on the worker count, and the first failing block
+    in source order raises its own error.
     """
     spec = b.spec
     if sources is None:
@@ -349,10 +346,7 @@ def transition_matrix(b: DriftField, t: float, sources: np.ndarray | None = None
     def block(ys):
         return gamma_series(b, t, ys, K_max=K_max, tol=tol, m=m).gamma
 
-    workers = min(len(os.sched_getaffinity(0)), len(blocks))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        gammas = list((pool.map if pool is not None else map)(block, blocks))
-    return np.concatenate(gammas), sources
+    return np.concatenate(g._map_blocks(block, blocks)), sources
 
 
 def chapman_kolmogorov_residual(b: DriftField, s: float, t: float, y,

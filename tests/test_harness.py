@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from heatlab import cli, drifts, dyadic, harness, montecarlo, parametrix as px
+from heatlab import cli, drifts, dyadic, grid, harness, montecarlo, parametrix as px
 
 
 LIGHT = {
@@ -203,6 +203,17 @@ def test_run_reports_empty_node_grids_and_ensembles(tmp_path):
         assert "# status = failed: ValueError" in paths[0].read_text()
 
 
+def test_ibound_table_needs_a_family(tmp_path):
+    # k_max = 0 walks no correction family: a failed report, not an empty
+    # table that reads dominated
+    cfg = harness.ExperimentConfig.default(**{**LIGHT, "ibound.k_max": 0})
+    status, paths = harness.run("ibound-table", cfg, tmp_path)
+    assert status == 1
+    text = paths[0].read_text()
+    assert "# status = failed: ValueError" in text
+    assert "dominated" not in text
+
+
 def test_cli_main(tmp_path, capsys):
     rc = cli.main(["sharpness", "--out", str(tmp_path / "r"),
                    "--config", _write_light_cfg(tmp_path)])
@@ -212,37 +223,33 @@ def test_cli_main(tmp_path, capsys):
 
 
 def test_cli_threads_caps_the_cpus_of_the_run(tmp_path, monkeypatch):
-    # --threads N runs on at most N CPUs, so --threads 1 starts neither a
-    # series pool nor a Monte Carlo pool; the mask is put back afterwards
+    # --threads N runs on at most N CPUs, so --threads 1 starts neither the
+    # series pool nor the Monte Carlo pool; the mask is put back afterwards
     before = os.sched_getaffinity(0)
     seen = []
 
-    def recording(base, key):
-        class Recording(base):
-            def __init__(self, max_workers):
-                seen[-1][key] = max_workers
-                super().__init__(max_workers)
-        return Recording
+    class Recording(grid.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            seen[-1]["pools"].append(max_workers)
+            super().__init__(max_workers)
 
     def fake_run(subcommand, config, out_dir):
-        seen.append({"cpus": os.sched_getaffinity(0), "pool": None, "mc_pool": None})
+        seen.append({"cpus": os.sched_getaffinity(0), "pools": []})
         b = drifts.single_mode_drift(config.spec(), amplitude=1.0)
         px.transition_matrix(b, 0.5, np.linspace(-5.0, 5.0, 64)[:, None], K_max=2, m=16)
         montecarlo.simulate(b, 0.0, 0.01, 0.01, 2 * montecarlo._MIN_SLICE, seed=1)
         return 0, []
 
-    monkeypatch.setattr(px, "ThreadPoolExecutor", recording(px.ThreadPoolExecutor, "pool"))
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
-                        recording(montecarlo.ThreadPoolExecutor, "mc_pool"))
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(cli, "run", fake_run)
     for threads in ("1", "8"):
         assert cli.main(["parametrix", "--out", str(tmp_path), "--threads", threads]) == 0
         assert os.sched_getaffinity(0) == before
     one, eight = seen
-    assert one == {"cpus": {min(before)}, "pool": None, "mc_pool": None}
+    assert one == {"cpus": {min(before)}, "pools": []}
     assert eight["cpus"] == before
-    assert eight["pool"] == (min(len(before), 2) if len(before) > 1 else None)
-    assert eight["mc_pool"] == (2 if len(before) > 1 else None)
+    # two source blocks, then two path slices
+    assert eight["pools"] == ([min(len(before), 2), 2] if len(before) > 1 else [])
     with pytest.raises(SystemExit):
         cli.main(["parametrix", "--out", str(tmp_path), "--threads", "0"])
 

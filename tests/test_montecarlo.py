@@ -32,19 +32,21 @@ def test_counter_uniforms_follow_the_raw_word_formula():
         assert mc.counter_normals(123, start, 1000).tobytes() == ndtri(ref).tobytes()
 
 
-def test_simulate_chunk_invariance(spec8pi_small):
+def test_simulate_slice_invariance(spec8pi_small, monkeypatch):
+    # one slice against 16 slices of at most 64 paths, run inline
     b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0, xi0=1.0)
     kw = dict(x0=0.0, T=0.1, h_t=0.01, N=1000, seed=7, snapshot_times=[0.1])
-    e1 = mc.simulate(b, chunk=64, **kw)
-    e2 = mc.simulate(b, chunk=1 << 20, **kw)
+    e1 = mc.simulate(b, **kw)
+    monkeypatch.setattr(mc, "_MAX_SLICE", 64)
+    e2 = mc.simulate(b, **kw)
     assert np.array_equal(e1.positions(0.1), e2.positions(0.1))
     assert np.array_equal(e1.sup_dev, e2.sup_dev)
-    e3 = mc.simulate(b, chunk=64, **kw)
-    assert np.array_equal(e1.positions(0.1), e3.positions(0.1))
+    e3 = mc.simulate(b, **kw)
+    assert np.array_equal(e2.positions(0.1), e3.positions(0.1))
 
 
 @pytest.mark.parametrize("case", ["2d", "time-dependent"])
-def test_simulate_chunk_invariance_wide(case):
+def test_simulate_slice_invariance_wide(case, monkeypatch):
     if case == "2d":
         b = drifts.make_preset("time-varying", g.make_grid(2, 32, 8 * np.pi))
         x0 = [0.3, -0.2]
@@ -55,8 +57,9 @@ def test_simulate_chunk_invariance_wide(case):
     kw = dict(x0=x0, T=0.1, h_t=0.005, N=700, seed=9,
               snapshot_times=[0.05, 0.1], keep_paths=5)
     ref = mc.simulate(b, **kw)
-    for chunk in (64, 300):
-        e = mc.simulate(b, chunk=chunk, **kw)
+    for max_slice in (64, 300):
+        monkeypatch.setattr(mc, "_MAX_SLICE", max_slice)
+        e = mc.simulate(b, **kw)
         for t in (0.05, 0.1):
             assert e.positions(t).tobytes() == ref.positions(t).tobytes()
         assert e.sup_dev.tobytes() == ref.sup_dev.tobytes()
@@ -138,9 +141,9 @@ def test_drift_interp_keeps_one_slice():
         assert out.tobytes() == _modulo_interp(interp, t, X).tobytes()
 
 
-def _reference_euler(b, x0, T, h_t, N, seed, snapshot_times, keep_paths, chunk):
+def _reference_euler(b, x0, T, h_t, N, seed, snapshot_times, keep_paths):
     """Serial Euler loop on the counter stream, written from the formula:
-    X += drift * h_t + sqrt(h_t) * xi, one (step, chunk) block at a time."""
+    X += drift * h_t + sqrt(h_t) * xi, all paths of a step in one block."""
     d = b.spec.d
     n_steps = int(round(T / h_t))
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,))
@@ -150,12 +153,10 @@ def _reference_euler(b, x0, T, h_t, N, seed, snapshot_times, keep_paths, chunk):
     snaps = {0: X.copy()}
     kept = [X[:keep_paths].copy()]
     for j in range(n_steps):
-        for lo in range(0, N, chunk):
-            hi = min(lo + chunk, N)
-            xi = mc.counter_normals(seed, (j * N + lo) * d, (hi - lo) * d).reshape(hi - lo, d)
-            drift = (interp.eval(b.time_index(j * h_t), X[lo:hi])
-                     if np.abs(b.values).max() > 0 else 0.0)
-            X[lo:hi] += drift * h_t + np.sqrt(h_t) * xi
+        xi = mc.counter_normals(seed, j * N * d, N * d).reshape(N, d)
+        drift = (interp.eval(b.time_index(j * h_t), X)
+                 if np.abs(b.values).max() > 0 else 0.0)
+        X += drift * h_t + np.sqrt(h_t) * xi
         dev = np.abs(X[:, 0] - x0[0]) if d == 1 else np.linalg.norm(X - x0, axis=1)
         sup_dev = np.maximum(sup_dev, dev)
         snaps[j + 1] = X.copy()
@@ -184,18 +185,20 @@ def _ensemble_bytes(e):
 
 
 @pytest.mark.parametrize("case", sorted(_EULER_CASES))
-@pytest.mark.parametrize("chunk", [300, 1 << 20])
-def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
-    # with the floor lowered, 700 paths split into one slice per CPU; chunk
-    # 300 cuts across slice edges and 240 kept paths span several slices.
+@pytest.mark.parametrize("max_slice", [300, 1 << 20])
+def test_simulate_matches_serial_euler_reference(case, max_slice, monkeypatch):
+    # with the floor lowered, 2500 paths split into one slice per CPU; a
+    # 300-path cap is below that slice size at every CPU count, so slices
+    # outnumber workers, and 700 kept paths span several slices.
     # A short switch interval makes the threads interleave finely.
     monkeypatch.setattr(mc, "_MIN_SLICE", 64)
+    monkeypatch.setattr(mc, "_MAX_SLICE", max_slice)
     b, x0 = _EULER_CASES[case]()
-    kw = dict(x0=x0, T=0.06, h_t=0.005, N=700, seed=21,
-              snapshot_times=[0.0, 0.03, 0.06], keep_paths=240, chunk=chunk)
+    kw = dict(x0=x0, T=0.06, h_t=0.005, N=2500, seed=21,
+              snapshot_times=[0.0, 0.03, 0.06], keep_paths=700)
     snaps, sup_dev, kept = _reference_euler(b, **kw)
     for cpus in (1, 2, 3, 8):
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        monkeypatch.setattr(g.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -209,24 +212,40 @@ def test_simulate_matches_serial_euler_reference(case, chunk, monkeypatch):
 
 def test_monte_carlo_pool_size_follows_cpus_and_floor(monkeypatch):
     pools = []
+    spans = []
 
-    class Recording(mc.ThreadPoolExecutor):
+    class Recording(g.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+    map_blocks = g._map_blocks
+
+    def recording_map(fn, blocks):
+        spans.append(blocks)
+        return map_blocks(fn, blocks)
+
+    monkeypatch.setattr(g, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(g, "_map_blocks", recording_map)
     b = drifts.single_mode_drift(g.make_grid(1, 128, 8 * np.pi), amplitude=1.0, xi0=1.0)
     floor = mc._MIN_SLICE
-    for cpus in (1, 2, 8):
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
-        for N in (64, 2 * floor - 1, 2 * floor, 3 * floor + 5):
-            pools.clear()
-            mc.simulate(b, 0.0, 0.005, 0.005, N, seed=3)
-            # no pool for one CPU or fewer than two floors of paths; else one
-            # worker per CPU, at most one per floor
-            assert pools == ([] if cpus == 1 or N < 2 * floor
-                             else [min(cpus, N // floor)]), (cpus, N)
+    for max_slice in (mc._MAX_SLICE, 2 * floor):
+        monkeypatch.setattr(mc, "_MAX_SLICE", max_slice)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(g.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+            for N in (64, 2 * floor - 1, 2 * floor, 3 * floor + 5, 5 * floor):
+                pools.clear()
+                spans.clear()
+                mc.simulate(b, 0.0, 0.005, 0.005, N, seed=3)
+                # no pool for one CPU or fewer than two floors of paths; else
+                # one worker per CPU, at most one per floor
+                workers = 1 if cpus == 1 or N < 2 * floor else min(cpus, N // floor)
+                assert pools == ([] if workers == 1 else [workers]), (cpus, N)
+                # equal contiguous slices, `workers` times as many as keep
+                # each within the cap
+                slices = workers * -(-N // (workers * max_slice))
+                edges = [N * k // slices for k in range(slices + 1)]
+                assert spans == [list(zip(edges, edges[1:]))], (max_slice, cpus, N)
 
 
 def test_simulate_rejects_snapshot_times_it_cannot_honour():

@@ -482,7 +482,7 @@ def _series_one_block(b, t, y, K_max=12, tol=1e-6, m=64):
 
 def _blocked(monkeypatch, cpus, b, t, y, **kw):
     # the library call on `cpus` CPUs; no pool thread may outlive it
-    monkeypatch.setattr(px.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(g.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     before = threading.active_count()
     try:
         return px.transition_matrix(b, t, y, **kw)[0]
@@ -581,12 +581,12 @@ def test_pool_size_follows_cpu_affinity(spec8pi_small, monkeypatch):
     # gamma_series starts no pool for any batch
     pools = []
 
-    class Recording(px.ThreadPoolExecutor):
+    class Recording(g.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(px, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(g, "ThreadPoolExecutor", Recording)
     b = drifts.single_mode_drift(spec8pi_small, amplitude=1.0, xi0=1.0)
     ys = _sources_70(spec8pi_small)
     for cpus in (1, 2, 8):
@@ -604,7 +604,7 @@ def test_blocks_are_not_all_held_at_once(monkeypatch):
     b = drifts.make_preset("multi-mode", spec)
     ys = _sources_70(spec)[:32]
     ys = np.concatenate([ys, ys + 0.1, ys + 0.2, ys + 0.3])
-    monkeypatch.setattr(px.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(g.os, "sched_getaffinity", lambda pid: {0})
 
     def peak(call):
         call()  # warm the node-grid caches
